@@ -3,6 +3,7 @@
 // failover, offline diagnosis, table lookups, and whole fluid-sim runs.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <sstream>
 
 #include "control/controller.hpp"
@@ -14,9 +15,11 @@
 #include "obs/slo/log_histogram.hpp"
 #include "obs/timeseries.hpp"
 #include "pktsim/packet_sim.hpp"
+#include "routing/backup_rules.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/global_reroute.hpp"
 #include "routing/impersonation.hpp"
+#include "routing/spider.hpp"
 #include "service/controller_service.hpp"
 #include "sharebackup/fabric.hpp"
 #include "sharebackup/leaf_spine.hpp"
@@ -112,6 +115,40 @@ void BM_GlobalRerouteAffected(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GlobalRerouteAffected);
+
+void BM_StructuralRouteColdPairs(benchmark::State& state) {
+  // The structural-primary routers on Fig. 1c's k=16 rack fat-tree (one
+  // host per edge, 128 hosts), healthy: every iteration routes the next
+  // ordered (src, dst) pair, so no pair repeats until all 16,256 have
+  // been routed. Arg: 0 = ECMP + global reroute, 1 = SPIDER, 2 = backup
+  // rules. BM_EcmpRoute* cover only the live-set EcmpRouter.
+  topo::FatTree ft(topo::FatTreeParams{.k = 16, .hosts_per_edge = 1});
+  std::unique_ptr<routing::Router> router;
+  switch (state.range(0)) {
+    case 0:
+      router = std::make_unique<routing::EcmpWithGlobalRerouteRouter>(ft);
+      break;
+    case 1:
+      router = std::make_unique<routing::SpiderProtectRouter>(ft);
+      break;
+    default:
+      router = std::make_unique<routing::BackupRulesRouter>(ft);
+      break;
+  }
+  const auto hosts = static_cast<std::uint64_t>(ft.host_count());
+  std::uint64_t id = 0;
+  for (auto _ : state) {
+    const std::uint64_t pair = id % (hosts * (hosts - 1));
+    const auto src = static_cast<int>(pair / (hosts - 1));
+    auto dst = static_cast<int>(pair % (hosts - 1));
+    if (dst >= src) ++dst;
+    net::Path p = router->route(ft.network(), ft.host(src), ft.host(dst),
+                                id++, nullptr);
+    benchmark::DoNotOptimize(p.hops());
+  }
+  state.SetLabel(router->name());
+}
+BENCHMARK(BM_StructuralRouteColdPairs)->DenseRange(0, 2);
 
 void BM_MaxMinAllocation(benchmark::State& state) {
   const auto flows = static_cast<std::size_t>(state.range(0));

@@ -4,7 +4,8 @@
 #
 # Usage: scripts/check.sh [--tsan | --asan | --bench-smoke | --chaos-smoke |
 #        --trace-smoke | --baselines-smoke | --scale-smoke |
-#        --service-smoke | --failover-smoke | --slo-smoke] [build-dir]
+#        --service-smoke | --failover-smoke | --slo-smoke |
+#        --perfbench-smoke] [build-dir]
 #
 #   --tsan         Configure a ThreadSanitizer build (-DSBK_SANITIZE=thread,
 #                  default dir build-tsan) and run the concurrency-heavy
@@ -68,6 +69,17 @@
 #                  its trace must digest through `sbk_trace slo`. Also
 #                  runs (reduced) in the default full-verification
 #                  matrix.
+#   --perfbench-smoke
+#                  Build the repository benchmark harness (perfbench/,
+#                  Release, into $CARGO_TARGET_DIR/perfbench, default
+#                  .bench_build/perfbench) and run every workload at toy
+#                  size, traced and untraced, with all output checks on
+#                  (python3 perfbench/run.py --smoke). The harness
+#                  compiles against the routers' and services' public
+#                  headers, so an API or layout change that breaks it
+#                  fails here rather than at benchmark time. Takes no
+#                  build-dir argument. Also runs in the default
+#                  full-verification matrix.
 #   --trace-smoke  Build examples/failure_drill + sbk_trace, record the
 #                  drill into a flight-recorder trace, validate the
 #                  Perfetto trace_event JSON against a minimal schema,
@@ -211,6 +223,7 @@ SCALE_SMOKE=0
 SERVICE_SMOKE=0
 FAILOVER_SMOKE=0
 SLO_SMOKE=0
+PERFBENCH_SMOKE=0
 if [ "${1:-}" = "--tsan" ]; then
   TSAN=1
   shift
@@ -241,6 +254,14 @@ elif [ "${1:-}" = "--failover-smoke" ]; then
 elif [ "${1:-}" = "--slo-smoke" ]; then
   SLO_SMOKE=1
   shift
+elif [ "${1:-}" = "--perfbench-smoke" ]; then
+  PERFBENCH_SMOKE=1
+  shift
+fi
+
+if [ "$PERFBENCH_SMOKE" = 1 ]; then
+  python3 perfbench/run.py --smoke
+  exit 0
 fi
 
 if [ "$SLO_SMOKE" = 1 ]; then
@@ -451,8 +472,12 @@ run_failover_smoke "$BUILD" 10
 # standalone --slo-smoke mode runs the same gates at Release scale.
 run_slo_smoke "$BUILD" 10
 
+# Perfbench smoke: the benchmark harness must still build against the
+# libraries and pass its output checks on every workload.
+python3 perfbench/run.py --smoke
+
 for b in "$BUILD"/bench/*; do
-  [ -x "$b" ] || continue
+  [ -f "$b" ] && [ -x "$b" ] || continue  # skip CMakeFiles/
   name="$(basename "$b")"
   echo "=== $name ==="
   if [ "$name" = micro_perf ]; then

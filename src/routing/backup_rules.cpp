@@ -33,6 +33,18 @@ bool shares_prefix(const Path& alt, const Path& primary, std::size_t upto) {
   return true;
 }
 
+/// Index form of shares_prefix for two structural candidates of one host
+/// pair with more than one candidate. Candidates are ordered agg-major,
+/// `per_agg` per up-aggregation switch (see structural_path): hop 0
+/// (host to edge) is common to all, hop 1 (edge to aggregation) is fixed
+/// by the aggregation choice, and any later hop by the whole index.
+bool shares_prefix(std::size_t alt, std::size_t primary, std::size_t upto,
+                   std::size_t per_agg) {
+  if (upto <= 1) return true;
+  if (upto == 2) return alt / per_agg == primary / per_agg;
+  return alt == primary;
+}
+
 }  // namespace
 
 net::Path BackupRulesRouter::route(const Network& net, net::NodeId src,
@@ -42,14 +54,10 @@ net::Path BackupRulesRouter::route(const Network& net, net::NodeId src,
                   "router is bound to a different network instance");
   if (src == dst) return Path{{src}, {}};
 
-  const EpochPathCache::Ref entry = structural_.lookup(net, src, dst, [&] {
-    return candidate_paths(*ft_, src, dst, /*live_only=*/false);
-  });
-  const std::vector<Path>& candidates = *entry;
-  if (candidates.empty()) return {};
   const std::uint64_t h = mix64(flow_id ^ mix64(salt_));
-  const std::size_t n = candidates.size();
-  const Path& primary = candidates[h % n];
+  const std::size_t n = structural_path_count(*ft_, src, dst);
+  const std::size_t primary_index = h % n;
+  Path primary = structural_path(*ft_, src, dst, primary_index);
   if (net::is_live_path(net, primary)) return primary;
   if (net.node_failed(src) || net.node_failed(dst)) return {};
 
@@ -57,11 +65,16 @@ net::Path BackupRulesRouter::route(const Network& net, net::NodeId src,
   // packet has already traversed the prefix, so only candidates that
   // agree on it are reachable by a local next-hop swap. Probe order is
   // the deterministic hash rotation, so the "installed" backup is a
-  // stable function of (structure, salt, flow).
+  // stable function of (structure, salt, flow). Prefix agreement is
+  // decided from the candidate index, so only candidates that pass it
+  // are built.
   const std::size_t fail_at = first_dead_hop(net, primary);
+  const std::size_t per_agg = n / static_cast<std::size_t>(ft_->half_k());
   for (std::size_t t = 1; t < n; ++t) {
-    const Path& alt = candidates[(h + t) % n];
-    if (!shares_prefix(alt, primary, fail_at)) continue;
+    const std::size_t i = (h + t) % n;
+    if (!shares_prefix(i, primary_index, fail_at, per_agg)) continue;
+    Path alt = structural_path(*ft_, src, dst, i);
+    SBK_ASSERT(shares_prefix(alt, primary, fail_at));
     if (!net::is_live_path(net, alt)) continue;
     ++backup_hits_;
     return alt;

@@ -105,14 +105,14 @@ net::Path F10Router::route(const Network& net, NodeId src, NodeId dst,
 
   // Inter-pod. Choose the up agg and core locally among live uplinks.
   for (std::size_t t = 0; t < static_cast<std::size_t>(half); ++t) {
-    NodeId agg_up = ft.agg(src_pod, static_cast<int>(pick(h, t, half)));
+    const int a = static_cast<int>(pick(h, t, half));
+    NodeId agg_up = ft.agg(src_pod, a);
     if (net.node_failed(agg_up) || !link_live(links_, net, es, agg_up)) {
       continue;
     }
-    const std::vector<int> core_choices =
-        ft.cores_of_agg(src_pod, ft.index_of(agg_up));
-    for (std::size_t u = 0; u < core_choices.size(); ++u) {
-      int c = core_choices[pick(h >> 8, u, core_choices.size())];
+    for (std::size_t u = 0; u < static_cast<std::size_t>(half); ++u) {
+      int c = ft.core_of_agg(src_pod, a,
+                             static_cast<int>(pick(h >> 8, u, half)));
       NodeId core = ft.core(c);
       if (net.node_failed(core) || !link_live(links_, net, agg_up, core)) {
         continue;
@@ -139,10 +139,10 @@ net::Path F10Router::route(const Network& net, NodeId src, NodeId dst,
         if (net.node_failed(b) || !link_live(links_, net, core, b)) {
           continue;
         }
-        const std::vector<int> alt_cores =
-            ft.cores_of_agg(q_pod, ft.index_of(b));
-        for (std::size_t x = 0; x < alt_cores.size(); ++x) {
-          int c2 = alt_cores[pick(h >> 24, x, alt_cores.size())];
+        const int b_index = ft.index_of(b);
+        for (std::size_t x = 0; x < static_cast<std::size_t>(half); ++x) {
+          int c2 = ft.core_of_agg(q_pod, b_index,
+                                  static_cast<int>(pick(h >> 24, x, half)));
           if (c2 == c) continue;
           NodeId core2 = ft.core(c2);
           if (net.node_failed(core2) || !link_live(links_, net, b, core2)) {

@@ -9,9 +9,12 @@
 //     capacity edits, and rewiring. Use for live-filtered results
 //     (candidate_paths with live_only = true).
 //   * net::Network::structure_version() — changes only on rewiring
-//     (add_link / retarget_link). Use for structural results
-//     (live_only = false candidate sets, neighbor-link lookups), which
-//     then survive failure churn untouched.
+//     (add_link / retarget_link). Use for structural results, which
+//     then survive failure churn untouched. NeighborLinkCache (F10's
+//     neighbor-link lookups) is the one such cache in the routers: the
+//     structural (live_only = false) primary path is built by index
+//     (structural_path in routing/fat_tree_paths.hpp), which is cheaper
+//     than caching the whole candidate set per host pair.
 //
 // Each cache is bound to one EpochSource at construction and reads that
 // counter itself on every lookup. The earlier API took a raw epoch value

@@ -121,8 +121,9 @@ void FatTree::build() {
   // Agg - core wiring.
   for (int pod = 0; pod < k; ++pod) {
     for (int j = 0; j < half; ++j) {
-      for (int c : cores_of_agg(pod, j)) {
-        net_.add_link(agg(pod, j), core(c), params_.agg_core_capacity);
+      for (int i = 0; i < half; ++i) {
+        net_.add_link(agg(pod, j), core(core_of_agg(pod, j, i)),
+                      params_.agg_core_capacity);
       }
     }
   }
@@ -202,17 +203,21 @@ net::NodeId FatTree::agg_for_core(int core_index, int pod) const {
   return agg(pod, transpose ? col : row);
 }
 
-std::vector<int> FatTree::cores_of_agg(int pod, int j) const {
+int FatTree::core_of_agg(int pod, int j, int i) const {
   SBK_EXPECTS(pod >= 0 && pod < pods() && j >= 0 && j < half_k());
+  const int half = half_k();
+  SBK_EXPECTS(i >= 0 && i < half);
+  const bool transpose = (params_.wiring == Wiring::kAb) && (pod % 2 == 1);
+  // Plain (type A): row j -> cores j*half + i.
+  // Transposed (type B): column j -> cores i*half + j.
+  return transpose ? i * half + j : j * half + i;
+}
+
+std::vector<int> FatTree::cores_of_agg(int pod, int j) const {
   const int half = half_k();
   std::vector<int> out;
   out.reserve(static_cast<std::size_t>(half));
-  bool transpose = (params_.wiring == Wiring::kAb) && (pod % 2 == 1);
-  for (int i = 0; i < half; ++i) {
-    // Plain (type A): row j -> cores j*half + i.
-    // Transposed (type B): column j -> cores i*half + j.
-    out.push_back(transpose ? i * half + j : j * half + i);
-  }
+  for (int i = 0; i < half; ++i) out.push_back(core_of_agg(pod, j, i));
   return out;
 }
 

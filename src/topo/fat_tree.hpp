@@ -107,6 +107,9 @@ class FatTree {
   [[nodiscard]] net::NodeId edge_of_host(net::NodeId host) const;
   /// The aggregation switch adjacent to `core` inside `pod` (by wiring).
   [[nodiscard]] net::NodeId agg_for_core(int core_index, int pod) const;
+  /// The i-th core (i in [0, k/2)) adjacent to aggregation switch
+  /// (pod, j), in ascending core-index order. Allocation-free.
+  [[nodiscard]] int core_of_agg(int pod, int j, int i) const;
   /// Core indices adjacent to aggregation switch (pod, j), ascending.
   [[nodiscard]] std::vector<int> cores_of_agg(int pod, int j) const;
 

@@ -1,11 +1,15 @@
-// Tests for the routing policies: structural path enumeration, ECMP,
-// global min-congestion rerouting, F10 local rerouting with 3-hop
-// detours, SPIDER-style pre-installed detours, precomputed backup
-// rules, and the epoch-source-tagged path caches.
+// Tests for the routing policies: structural path enumeration and its
+// by-index construction, ECMP, global min-congestion rerouting, F10
+// local rerouting with 3-hop detours, SPIDER-style pre-installed
+// detours, precomputed backup rules, the epoch-source-tagged path
+// caches, and parity of the indexed structural routers with the
+// enumerate-and-index selection they replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "net/network.hpp"
 #include "net/path.hpp"
@@ -18,6 +22,8 @@
 #include "routing/spider.hpp"
 #include "sweep/sweep.hpp"
 #include "topo/fat_tree.hpp"
+#include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace sbk::routing {
 namespace {
@@ -638,6 +644,300 @@ TEST(StructuralHops, Classification) {
   EXPECT_EQ(structural_hops(ft, ft.host(0, 0, 0), ft.host(0, 0, 1)), 2u);
   EXPECT_EQ(structural_hops(ft, ft.host(0, 0, 0), ft.host(0, 1, 0)), 4u);
   EXPECT_EQ(structural_hops(ft, ft.host(0, 0, 0), ft.host(2, 1, 0)), 6u);
+}
+
+// (k, wiring, hosts per edge)
+using StructuralShape = std::tuple<int, Wiring, int>;
+
+class StructuralPath : public ::testing::TestWithParam<StructuralShape> {};
+
+TEST_P(StructuralPath, IndexedBuildEqualsEnumerationForEveryHostPair) {
+  const auto [k, wiring, hosts_per_edge] = GetParam();
+  FatTree ft(FatTreeParams{
+      .k = k, .wiring = wiring, .hosts_per_edge = hosts_per_edge});
+  // Structural selection ignores failure flags; a dead core and a dead
+  // edge uplink must not change either side.
+  ft.network().fail_node(ft.core(0));
+  ft.network().fail_link(*ft.network().find_link(ft.edge(0, 0), ft.agg(0, 1)));
+  for (NodeId src : ft.hosts()) {
+    for (NodeId dst : ft.hosts()) {
+      const std::vector<Path> all =
+          candidate_paths(ft, src, dst, /*live_only=*/false);
+      ASSERT_EQ(structural_path_count(ft, src, dst), all.size());
+      for (std::size_t i = 0; i < all.size(); ++i) {
+        ASSERT_EQ(structural_path(ft, src, dst, i), all[i])
+            << "pair " << src.value() << "->" << dst.value() << " index "
+            << i;
+      }
+    }
+  }
+  const NodeId a = ft.hosts().front();
+  const NodeId b = ft.hosts().back();
+  EXPECT_THROW((void)structural_path(ft, a, b, structural_path_count(ft, a, b)),
+               ContractViolation);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, StructuralPath,
+    ::testing::Combine(::testing::Values(4, 8),
+                       ::testing::Values(Wiring::kPlain, Wiring::kAb),
+                       ::testing::Values(1, 2)));
+
+// Test-local copies of the three structural-primary routers as they were
+// when they enumerated the whole structural candidate set per host pair
+// and indexed it by hash. They are the oracle for the indexed routers.
+namespace enumerated {
+
+std::vector<Path> structural_set(const FatTree& ft, NodeId src, NodeId dst) {
+  return candidate_paths(ft, src, dst, /*live_only=*/false);
+}
+
+class EcmpWithGlobalReroute {
+ public:
+  EcmpWithGlobalReroute(const FatTree& ft, std::uint64_t salt)
+      : ft_(&ft), salt_(salt), optimizer_(ft, salt) {}
+
+  Path route(const net::Network& net, NodeId src, NodeId dst,
+             std::uint64_t flow_id) {
+    const std::vector<Path> candidates = structural_set(*ft_, src, dst);
+    if (!candidates.empty()) {
+      const std::uint64_t h = mix64(flow_id ^ mix64(salt_));
+      const Path& chosen = candidates[h % candidates.size()];
+      if (net::is_live_path(net, chosen)) return chosen;
+    }
+    return optimizer_.route(net, src, dst, flow_id, nullptr);
+  }
+
+ private:
+  const FatTree* ft_;
+  std::uint64_t salt_;
+  MinCongestionRouter optimizer_;
+};
+
+class BackupRules {
+ public:
+  BackupRules(const FatTree& ft, std::uint64_t salt)
+      : ft_(&ft), salt_(salt), optimizer_(ft, salt) {}
+
+  Path route(const net::Network& net, NodeId src, NodeId dst,
+             std::uint64_t flow_id) {
+    if (src == dst) return Path{{src}, {}};
+    const std::vector<Path> candidates = structural_set(*ft_, src, dst);
+    if (candidates.empty()) return {};
+    const std::uint64_t h = mix64(flow_id ^ mix64(salt_));
+    const std::size_t n = candidates.size();
+    const Path& primary = candidates[h % n];
+    if (net::is_live_path(net, primary)) return primary;
+    if (net.node_failed(src) || net.node_failed(dst)) return {};
+    std::size_t fail_at = 0;
+    while (net.usable(primary.links[fail_at]) &&
+           !net.node_failed(primary.nodes[fail_at + 1])) {
+      ++fail_at;
+    }
+    for (std::size_t t = 1; t < n; ++t) {
+      const Path& alt = candidates[(h + t) % n];
+      bool shares = alt.links.size() >= fail_at;
+      for (std::size_t i = 0; shares && i < fail_at; ++i) {
+        shares = alt.links[i] == primary.links[i] &&
+                 alt.nodes[i + 1] == primary.nodes[i + 1];
+      }
+      if (!shares || !net::is_live_path(net, alt)) continue;
+      ++backup_hits;
+      return alt;
+    }
+    ++global_fallbacks;
+    return optimizer_.route(net, src, dst, flow_id, nullptr);
+  }
+
+  std::size_t backup_hits = 0;
+  std::size_t global_fallbacks = 0;
+
+ private:
+  const FatTree* ft_;
+  std::uint64_t salt_;
+  MinCongestionRouter optimizer_;
+};
+
+class Spider {
+ public:
+  Spider(const FatTree& ft, std::uint64_t salt) : ft_(&ft), salt_(salt) {}
+
+  Path route(const net::Network& net, NodeId src, NodeId dst,
+             std::uint64_t flow_id) {
+    if (src == dst) return Path{{src}, {}};
+    if (net.node_failed(src) || net.node_failed(dst)) return {};
+    const std::vector<Path> candidates = structural_set(*ft_, src, dst);
+    if (candidates.empty()) return {};
+    const std::uint64_t h = mix64(flow_id ^ mix64(salt_));
+    const Path& primary = candidates[h % candidates.size()];
+
+    Path out{{src}, {}};
+    bool failed_over = false;
+    std::size_t i = 0;
+    while (i < primary.links.size()) {
+      const NodeId u = out.nodes.back();
+      const NodeId v = primary.nodes[i + 1];
+      const net::LinkId l = primary.links[i];
+      if (net.usable(l) && !net.node_failed(v)) {
+        if (failed_over && visits(out, v)) {
+          ++detour_misses;
+          return {};
+        }
+        out.nodes.push_back(v);
+        out.links.push_back(l);
+        ++i;
+        continue;
+      }
+      ++failovers;
+      failed_over = true;
+      const bool exclude_node = net.node_failed(v);
+      const Sweep sweep = bfs(net, u, exclude_node,
+                              exclude_node ? v.value() : l.value());
+      std::size_t merge = 0;
+      int best_depth = -1;
+      for (std::size_t p = i + 1; p < primary.nodes.size(); ++p) {
+        const NodeId cand = primary.nodes[p];
+        if (exclude_node && cand == v) continue;
+        const int d = sweep.depth[cand.index()];
+        if (d <= 0) continue;
+        if (best_depth == -1 || d <= best_depth) {
+          best_depth = d;
+          merge = p;
+        }
+      }
+      if (best_depth == -1) {
+        ++detour_misses;
+        return {};
+      }
+      std::vector<NodeId> detour_nodes;
+      std::vector<net::LinkId> detour_links;
+      for (NodeId n = primary.nodes[merge]; n != u;
+           n = NodeId{static_cast<NodeId::value_type>(
+               sweep.parent[n.index()])}) {
+        detour_nodes.push_back(n);
+        detour_links.push_back(sweep.via[n.index()]);
+      }
+      for (std::size_t j = detour_nodes.size(); j-- > 0;) {
+        const NodeId w = detour_nodes[j];
+        const net::LinkId dl = detour_links[j];
+        if (!net.usable(dl) || net.node_failed(w) || visits(out, w)) {
+          ++detour_misses;
+          return {};
+        }
+        out.nodes.push_back(w);
+        out.links.push_back(dl);
+      }
+      i = merge;
+    }
+    return out;
+  }
+
+  std::size_t failovers = 0;
+  std::size_t detour_misses = 0;
+
+ private:
+  struct Sweep {
+    std::vector<int> depth;
+    std::vector<std::int32_t> parent;
+    std::vector<net::LinkId> via;
+  };
+
+  static bool visits(const Path& p, NodeId n) {
+    return std::find(p.nodes.begin(), p.nodes.end(), n) != p.nodes.end();
+  }
+
+  // Breadth-first sweep over the structural wiring avoiding one element,
+  // never expanding through a host; adjacency in id order.
+  static Sweep bfs(const net::Network& net, NodeId from, bool exclude_node,
+                   std::uint32_t excluded) {
+    Sweep s;
+    s.depth.assign(net.node_count(), -1);
+    s.parent.assign(net.node_count(), -1);
+    s.via.assign(net.node_count(), net::LinkId{});
+    std::vector<NodeId> frontier{from};
+    s.depth[from.index()] = 0;
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      const NodeId u = frontier[head];
+      if (s.depth[u.index()] >= kMaxDetourHops) continue;
+      for (const net::Adjacency& adj : net.adjacent(u)) {
+        if (exclude_node ? adj.peer.value() == excluded
+                         : adj.link.value() == excluded) {
+          continue;
+        }
+        if (s.depth[adj.peer.index()] != -1) continue;
+        s.depth[adj.peer.index()] = s.depth[u.index()] + 1;
+        s.parent[adj.peer.index()] = static_cast<std::int32_t>(u.index());
+        s.via[adj.peer.index()] = adj.link;
+        if (net.node(adj.peer).kind != net::NodeKind::kHost) {
+          frontier.push_back(adj.peer);
+        }
+      }
+    }
+    return s;
+  }
+
+  static constexpr int kMaxDetourHops = 4;  // SpiderProtectRouter default
+  const FatTree* ft_;
+  std::uint64_t salt_;
+};
+
+}  // namespace enumerated
+
+TEST(StructuralRouters, IndexedSelectionMatchesEnumerationUnderRandomFailures) {
+  // 200 seeded failure sets over k=4/k=8, plain/AB wiring and one or two
+  // hosts per edge: 0-3 dead switches plus 0-4 dead links (host links
+  // included). Every route and every protection counter of the three
+  // indexed routers must equal the enumerate-and-index oracle's.
+  std::size_t rerouted = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    FatTree ft(FatTreeParams{
+        .k = seed % 2 == 0 ? 8 : 4,
+        .wiring = (seed / 2) % 2 == 0 ? Wiring::kPlain : Wiring::kAb,
+        .hosts_per_edge = static_cast<int>((seed / 4) % 2) + 1});
+    net::Network& net = ft.network();
+    const std::vector<NodeId> switches = ft.all_switches();
+    for (std::size_t n = rng.uniform_index(4); n > 0; --n) {
+      net.fail_node(switches[rng.uniform_index(switches.size())]);
+    }
+    for (std::size_t n = rng.uniform_index(5); n > 0; --n) {
+      net.fail_link(net::LinkId{static_cast<net::LinkId::value_type>(
+          rng.uniform_index(net.link_count()))});
+    }
+
+    const std::uint64_t salt = rng.uniform_index(1000);
+    EcmpWithGlobalRerouteRouter reactive(ft, salt);
+    SpiderProtectRouter spider(ft, salt);
+    BackupRulesRouter backup(ft, salt);
+    enumerated::EcmpWithGlobalReroute reactive_ref(ft, salt);
+    enumerated::Spider spider_ref(ft, salt);
+    enumerated::BackupRules backup_ref(ft, salt);
+    const std::vector<NodeId>& hosts = ft.hosts();
+    for (std::uint64_t f = 0; f < 40; ++f) {
+      const NodeId a = hosts[rng.uniform_index(hosts.size())];
+      const NodeId b = hosts[rng.uniform_index(hosts.size())];
+      ASSERT_EQ(reactive.route(net, a, b, f, nullptr),
+                reactive_ref.route(net, a, b, f))
+          << "seed " << seed;
+      ASSERT_EQ(spider.route(net, a, b, f, nullptr),
+                spider_ref.route(net, a, b, f))
+          << "seed " << seed;
+      ASSERT_EQ(backup.route(net, a, b, f, nullptr),
+                backup_ref.route(net, a, b, f))
+          << "seed " << seed;
+    }
+    ASSERT_EQ(spider.failovers(), spider_ref.failovers) << "seed " << seed;
+    ASSERT_EQ(spider.detour_misses(), spider_ref.detour_misses)
+        << "seed " << seed;
+    ASSERT_EQ(backup.backup_hits(), backup_ref.backup_hits)
+        << "seed " << seed;
+    ASSERT_EQ(backup.global_fallbacks(), backup_ref.global_fallbacks)
+        << "seed " << seed;
+    rerouted += spider.failovers() + backup.backup_hits() +
+                backup.global_fallbacks();
+  }
+  // The failure sets must actually exercise the protection paths.
+  EXPECT_GT(rerouted, 200u);
 }
 
 }  // namespace
