@@ -23,7 +23,9 @@
 #                  measurement. For real numbers use scripts/bench.sh.
 #   --chaos-smoke  Build examples/chaos_soak and run a fixed-seed 50-
 #                  scenario soak (deterministic, ~1 s); exits non-zero on
-#                  any invariant violation.
+#                  any invariant violation. Then reruns it with every
+#                  sink at once (--slo --health --trace, ~15 s) and
+#                  passes the merged trace through `sbk_trace check`.
 #   --baselines-smoke
 #                  Build examples/baseline_matrix and race all five
 #                  protection strategies (ShareBackup, F10, ECMP+global
@@ -382,11 +384,16 @@ fi
 if [ "$CHAOS_SMOKE" = 1 ]; then
   BUILD="${1:-build-chaos}"
   cmake -B "$BUILD" -G Ninja
-  cmake --build "$BUILD" --target chaos_soak
+  cmake --build "$BUILD" --target chaos_soak sbk_trace
   # Fixed master seed: the soak is bit-identical across runs and thread
   # counts, so a violation here is a regression, never flakiness.
   "$BUILD"/examples/chaos_soak 50 1
-  echo "chaos-smoke: 50 scenarios clean"
+  # The same soak feeding trace, SLO monitor and health log at once;
+  # the merged trace's recovery timelines must stay monotone.
+  "$BUILD"/examples/chaos_soak 50 1 --slo \
+      --health="$BUILD/chaos_health.json" --trace="$BUILD/chaos_trace.json"
+  "$BUILD"/examples/sbk_trace check "$BUILD/chaos_trace.json"
+  echo "chaos-smoke: 50 scenarios clean, traced + SLO soak checked"
   exit 0
 fi
 

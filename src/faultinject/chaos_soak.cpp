@@ -79,19 +79,6 @@ void race_reachability(const ChaosSoakConfig& config,
 }  // namespace
 
 ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
-                                       const sweep::ScenarioSpec& spec) {
-  return run_chaos_scenario(config, spec, nullptr, nullptr);
-}
-
-ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
-                                       const sweep::ScenarioSpec& spec,
-                                       obs::FlightRecorder* recorder,
-                                       obs::TelemetrySampler* sampler) {
-  return run_chaos_scenario(config, spec, recorder, sampler, nullptr,
-                            nullptr);
-}
-
-ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
                                        const sweep::ScenarioSpec& spec,
                                        obs::FlightRecorder* recorder,
                                        obs::TelemetrySampler* sampler,
@@ -150,8 +137,7 @@ ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
     // the state *before* any same-instant injection or recovery.
     sampler->start(0.0);
     for (std::size_t i = 1;; ++i) {
-      const Seconds t =
-          static_cast<double>(i) * config.obs.telemetry_interval;
+      const Seconds t = static_cast<double>(i) * sampler->interval();
       if (t > config.plan.horizon) break;
       queue.schedule_at(t, [sampler, t] { sampler->sample_now(t); });
     }
@@ -266,38 +252,19 @@ ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
   return result;
 }
 
-ChaosSoakReport run_chaos_soak(const ChaosSoakConfig& config) {
-  sweep::SweepConfig sc;
-  sc.master_seed = config.master_seed;
-  sc.threads = config.threads;
-  sweep::SweepRunner runner(sc);
-  ChaosSoakReport report;
-  report.scenarios =
-      runner.run(config.scenarios, [&config](const sweep::ScenarioSpec& s) {
-        return run_chaos_scenario(config, s);
-      });
-  return report;
-}
-
 ChaosSoakReport run_chaos_soak(const ChaosSoakConfig& config,
-                               obs::FlightRecorder& trace,
-                               obs::TelemetryTable& telemetry) {
-  if (!config.obs.trace) return run_chaos_soak(config);
+                               const sweep::SweepSinks& sinks) {
   sweep::SweepConfig sc;
   sc.master_seed = config.master_seed;
   sc.threads = config.threads;
   sweep::SweepRunner runner(sc);
-  sweep::SweepRunner::TraceOptions opts;
-  opts.recorder_capacity = config.obs.trace_capacity;
-  opts.telemetry_interval = config.obs.telemetry_interval;
   ChaosSoakReport report;
-  report.scenarios = runner.run_traced(
-      config.scenarios, trace, telemetry,
-      [&config](const sweep::ScenarioSpec& s, obs::FlightRecorder& rec,
-                obs::TelemetrySampler& sampler) {
-        return run_chaos_scenario(config, s, &rec, &sampler);
-      },
-      opts);
+  report.scenarios = runner.run_observed(
+      config.scenarios, sinks,
+      [&config](const sweep::ScenarioSpec& s, const sweep::ScenarioSinks& o) {
+        return run_chaos_scenario(config, s, o.recorder, o.sampler, o.slo,
+                                  o.health);
+      });
   return report;
 }
 
@@ -314,24 +281,6 @@ obs::slo::SloMonitor make_chaos_slo(const ChaosSoakConfig& config) {
   SBK_ASSERT_MSG(idx == 0, "recovery_latency must be objective 0");
   (void)idx;
   return slo;
-}
-
-ChaosSoakReport run_chaos_soak(const ChaosSoakConfig& config,
-                               obs::slo::SloMonitor& slo,
-                               obs::slo::HealthLog& health) {
-  if (!config.obs.slo) return run_chaos_soak(config);
-  sweep::SweepConfig sc;
-  sc.master_seed = config.master_seed;
-  sc.threads = config.threads;
-  sweep::SweepRunner runner(sc);
-  ChaosSoakReport report;
-  report.scenarios = runner.run_with_slo(
-      config.scenarios, slo, health,
-      [&config](const sweep::ScenarioSpec& s, obs::slo::SloMonitor& mon,
-                obs::slo::HealthLog& log) {
-        return run_chaos_scenario(config, s, nullptr, nullptr, &mon, &log);
-      });
-  return report;
 }
 
 std::size_t ChaosSoakReport::total_violations() const {

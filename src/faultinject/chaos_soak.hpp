@@ -50,21 +50,10 @@ struct ChaosSoakConfig {
   /// into the per-strategy unreachable tallies. 0 disables the race.
   std::size_t reachability_probes = 32;
 
-  /// Observability knobs for the tracing overloads. `trace` gates
-  /// everything: when false the traced soak behaves exactly like the
-  /// plain one (no recorder/sampler is attached anywhere, so scenario
-  /// execution is bit-identical to an untraced run).
+  /// Knobs of the recovery-latency SLO that make_chaos_slo builds.
+  /// Whether a soak traces, samples telemetry or judges SLOs is decided
+  /// by which sinks the caller hands run_chaos_soak, not by config.
   struct ChaosObsConfig {
-    bool trace = false;
-    /// Per-scenario flight-recorder ring capacity.
-    std::size_t trace_capacity = obs::FlightRecorder::kDefaultCapacity;
-    /// Telemetry sampling cadence in sim seconds.
-    Seconds telemetry_interval = milliseconds(10);
-    /// SLO engine: when true the SLO soak overload evaluates a
-    /// recovery-latency objective per scenario (recovered_at -
-    /// injected_at per closed incident, judged against the bound in
-    /// virtual time) and takes one end-state health snapshot.
-    bool slo = false;
     /// Bound on recovered_at - injected_at per incident. The paper's
     /// sub-millisecond target covers the failover span alone; a chaos
     /// incident closes only after the scheduled offline diagnosis
@@ -99,7 +88,7 @@ struct ChaosScenarioResult {
   std::size_t unreachable_global_reroute = 0;
   std::size_t unreachable_spider = 0;
   std::size_t unreachable_backup_rules = 0;
-  /// SLO overload only: burn-rate alerts raised/cleared by this
+  /// With an SLO monitor only: burn-rate alerts raised/cleared by this
   /// scenario's recovery-latency objective.
   std::size_t slo_breaches = 0;
   std::size_t slo_clears = 0;
@@ -116,64 +105,44 @@ struct ChaosSoakReport {
 };
 
 /// Runs one chaos scenario (exposed for tests and debugging: a failing
-/// seed from a soak reproduces exactly through this call).
-[[nodiscard]] ChaosScenarioResult run_chaos_scenario(
-    const ChaosSoakConfig& config, const sweep::ScenarioSpec& spec);
-
-/// Traced variant: wires `recorder` through the event queue, control
-/// plane, and fabric, registers the standard chaos probes on `sampler`
-/// (queue depth, backup-pool occupancy, live-link fraction, controller
-/// backlog, report-channel buffering), drives the sampler from
-/// pre-scheduled queue events on the telemetry cadence, and exports the
-/// RecoveryTracer's timeline into the recorder as "recovery" spans.
-/// Either pointer may be null (that side is skipped); with both null
-/// this is exactly the plain overload.
+/// seed from a soak reproduces exactly through this call). Every
+/// observability pointer is optional; with all of them null the run
+/// touches no observability code.
+///   * `recorder` is wired through the event queue, control plane, and
+///     fabric, and receives the RecoveryTracer's timeline as "recovery"
+///     spans (plus SLO breach instants when `slo` is set too).
+///   * `sampler` gets the standard chaos probes (queue depth,
+///     backup-pool occupancy, live-link fraction, controller backlog,
+///     report-channel buffering), driven by pre-scheduled queue events
+///     on the sampler's own cadence.
+///   * `slo` (from make_chaos_slo, directly or via clone_config) is fed
+///     every closed incident's recovery latency in recovery order and
+///     finished at the plan horizon.
+///   * `health` (only with `slo`) gets one end-state snapshot: spare
+///     pool, live-link fraction, recovery-latency histogram, objective
+///     attainment.
 [[nodiscard]] ChaosScenarioResult run_chaos_scenario(
     const ChaosSoakConfig& config, const sweep::ScenarioSpec& spec,
-    obs::FlightRecorder* recorder, obs::TelemetrySampler* sampler);
+    obs::FlightRecorder* recorder = nullptr,
+    obs::TelemetrySampler* sampler = nullptr,
+    obs::slo::SloMonitor* slo = nullptr,
+    obs::slo::HealthLog* health = nullptr);
 
-/// Runs the full soak.
-[[nodiscard]] ChaosSoakReport run_chaos_soak(const ChaosSoakConfig& config);
-
-/// Traced soak built on SweepRunner::run_traced: per-scenario recorders
-/// and samplers merged into `trace` (scenario index = Perfetto track)
-/// and `telemetry` in scenario order, so both are independent of the
-/// thread count (wall-clock span durations aside). Requires
-/// config.obs.trace; with it false the outputs stay empty and the soak
-/// runs exactly like the plain overload.
-[[nodiscard]] ChaosSoakReport run_chaos_soak(const ChaosSoakConfig& config,
-                                             obs::FlightRecorder& trace,
-                                             obs::TelemetryTable& telemetry);
+/// Runs the full soak on SweepRunner::run_observed: each scenario gets
+/// private instances of the sinks set in `sinks` (recorder and
+/// telemetry, SLO monitor and health log, in any combination), merged
+/// in scenario order with the scenario index as the track, so every
+/// merged output is independent of the thread count (wall-clock span
+/// durations aside). With no sinks this is the plain soak. `sinks.slo`
+/// should be make_chaos_slo(config).
+[[nodiscard]] ChaosSoakReport run_chaos_soak(
+    const ChaosSoakConfig& config, const sweep::SweepSinks& sinks = {});
 
 /// Prototype SloMonitor for a chaos soak: one "recovery_latency"
-/// objective (index 0) built from config.obs — the object handed to
-/// SweepRunner::run_with_slo, whose per-scenario clones judge each
-/// closed incident's recovered_at - injected_at against the bound.
+/// objective (index 0) built from config.obs, whose per-scenario clones
+/// judge each closed incident's recovered_at - injected_at against the
+/// bound.
 [[nodiscard]] obs::slo::SloMonitor make_chaos_slo(
     const ChaosSoakConfig& config);
-
-/// SLO variant of the single-scenario runner: on top of the traced
-/// behaviour (either observability pointer may still be null), feeds
-/// `slo` every closed incident's recovery latency in recovery order,
-/// finishes the monitor at the plan horizon, and — when `health` is
-/// non-null — appends one end-state health snapshot (spare pool,
-/// live-link fraction, recovery-latency histogram, objective
-/// attainment). `slo` must come from make_chaos_slo (directly or via
-/// clone_config); breach instants land in `recorder` when present.
-[[nodiscard]] ChaosScenarioResult run_chaos_scenario(
-    const ChaosSoakConfig& config, const sweep::ScenarioSpec& spec,
-    obs::FlightRecorder* recorder, obs::TelemetrySampler* sampler,
-    obs::slo::SloMonitor* slo, obs::slo::HealthLog* health);
-
-/// SLO soak built on SweepRunner::run_with_slo: per-scenario monitors
-/// and health logs merged into `slo`/`health` in scenario order with
-/// the scenario index as the track, so the combined alert timeline and
-/// snapshot log are bit-identical at any thread count. `slo` should be
-/// make_chaos_slo(config); requires config.obs.slo (with it false the
-/// soak runs exactly like the plain overload and the outputs stay
-/// empty).
-[[nodiscard]] ChaosSoakReport run_chaos_soak(const ChaosSoakConfig& config,
-                                             obs::slo::SloMonitor& slo,
-                                             obs::slo::HealthLog& health);
 
 }  // namespace sbk::faultinject

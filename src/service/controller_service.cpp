@@ -124,6 +124,12 @@ ControllerService::~ControllerService() {
   }
 }
 
+void ControllerService::attach_metrics(obs::MetricsRegistry* metrics) {
+  metrics_ = metrics;
+  m_batch_size_ =
+      metrics == nullptr ? nullptr : &metrics->latency("service.batch_size");
+}
+
 int ControllerService::add_producer() {
   SBK_EXPECTS_MSG(!started_, "add every producer before start()");
   producers_.emplace_back();
@@ -293,6 +299,9 @@ void ControllerService::dispatch_batch(const std::vector<ServiceMessage>& batch,
   obs::ScopedSpan span(recorder_, "service", "batch", start);
   span.set_end(end);
   span.set_detail("size=" + std::to_string(batch.size()));
+  if (m_batch_size_ != nullptr) {
+    m_batch_size_->record(static_cast<double>(batch.size()));
+  }
   controller_->set_time(start);
   on_batch_begin(start);
   if (slo_enabled_) slo_on_batch(start);
@@ -572,8 +581,6 @@ void ControllerService::publish_metrics() {
       .set(decision_latency_.quantile(0.999));
   metrics_->gauge("service.decision_latency_max_s")
       .set(decision_latency_.max());
-  obs::LatencyHistogram& bs = metrics_->latency("service.batch_size");
-  for (double s : ingress_.batch_sizes().samples()) bs.record(s);
   if (slo_enabled_) {
     std::uint64_t breaches = 0;
     std::uint64_t clears = 0;

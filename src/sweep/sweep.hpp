@@ -28,6 +28,7 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
+#include "util/time.hpp"
 
 namespace sbk::sweep {
 
@@ -59,6 +60,33 @@ struct SweepConfig {
   /// Worker threads. 0 = auto: the SBK_THREADS environment variable if
   /// set to a positive integer, else hardware concurrency.
   std::size_t threads = 0;
+};
+
+/// Merged observability sinks for SweepRunner::run_observed. Every
+/// pointer is optional: a sink left null is neither built per scenario
+/// nor merged.
+struct SweepSinks {
+  obs::MetricsRegistry* metrics = nullptr;
+  obs::FlightRecorder* recorder = nullptr;
+  /// Ring capacity of each scenario's private recorder (the merged
+  /// recorder's capacity is whatever the caller constructed it with).
+  std::size_t recorder_capacity = obs::FlightRecorder::kDefaultCapacity;
+  obs::TelemetryTable* telemetry = nullptr;
+  /// Cadence of each scenario's TelemetrySampler, in sim seconds.
+  Seconds telemetry_interval = 0.01;
+  /// Objective prototype: each scenario judges on slo->clone_config().
+  obs::slo::SloMonitor* slo = nullptr;
+  obs::slo::HealthLog* health = nullptr;
+};
+
+/// One scenario's private sinks; each is null unless its merged
+/// counterpart was set in SweepSinks.
+struct ScenarioSinks {
+  obs::MetricsRegistry* metrics = nullptr;
+  obs::FlightRecorder* recorder = nullptr;
+  obs::TelemetrySampler* sampler = nullptr;
+  obs::slo::SloMonitor* slo = nullptr;
+  obs::slo::HealthLog* health = nullptr;
 };
 
 /// Resolves a requested thread count per the SweepConfig::threads rule.
@@ -145,103 +173,58 @@ class SweepRunner {
     return out;
   }
 
-  /// Metrics-collecting sweep: each scenario gets a private
-  /// obs::MetricsRegistry (no cross-thread sharing), and after the sweep
-  /// the per-scenario registries are folded into `merged` in scenario
-  /// order — the same single deterministic merge run_summary uses, so
-  /// the merged registry is independent of the thread count. Registries
-  /// are reference-stable (deque) because instruments point into them.
-  /// fn: (const ScenarioSpec&, obs::MetricsRegistry&) -> R.
+  /// Observed sweep: each scenario gets private instances of exactly
+  /// the sinks set in `sinks` (no cross-thread sharing; unset sinks cost
+  /// nothing), and a recorder, when present, opens a "sweep"/"scenario"
+  /// span around the scenario. After the sweep one loop folds every
+  /// private instance into its merged sink in scenario order, with the
+  /// scenario index as the recorder/SLO/health track — so every merged
+  /// sink (wall-clock trace fields aside) is independent of the thread
+  /// count. Private instances live in deques because registries and
+  /// recorders hand out references into themselves.
+  /// fn: (const ScenarioSpec&, const ScenarioSinks&) -> R.
   template <typename Fn>
-  auto run_with_metrics(std::size_t scenario_count,
-                        obs::MetricsRegistry& merged, Fn&& fn)
+  auto run_observed(std::size_t scenario_count, const SweepSinks& sinks,
+                    Fn&& fn)
       -> std::vector<std::invoke_result_t<Fn&, const ScenarioSpec&,
-                                          obs::MetricsRegistry&>> {
-    std::deque<obs::MetricsRegistry> locals;
-    for (std::size_t i = 0; i < scenario_count; ++i) {
-      locals.emplace_back(merged.enabled());
-    }
-    auto results = run(scenario_count,
-                       [&fn, &locals](const ScenarioSpec& spec) {
-                         return fn(spec, locals[spec.index]);
-                       });
-    for (const obs::MetricsRegistry& local : locals) merged.merge(local);
-    return results;
-  }
-
-  /// SLO sweep: each scenario gets a private SloMonitor (stamped from
-  /// `merged`'s objective configuration) and HealthLog. After the sweep
-  /// the per-scenario alert timelines and snapshot logs are merged into
-  /// `merged`/`health` in scenario order with the scenario index as the
-  /// track — so the combined alert timeline and snapshot log are
-  /// bit-identical at any thread count.
-  /// fn: (const ScenarioSpec&, obs::slo::SloMonitor&,
-  ///      obs::slo::HealthLog&) -> R.
-  template <typename Fn>
-  auto run_with_slo(std::size_t scenario_count, obs::slo::SloMonitor& merged,
-                    obs::slo::HealthLog& health, Fn&& fn)
-      -> std::vector<std::invoke_result_t<Fn&, const ScenarioSpec&,
-                                          obs::slo::SloMonitor&,
-                                          obs::slo::HealthLog&>> {
+                                          const ScenarioSinks&>> {
+    std::deque<obs::MetricsRegistry> metrics;
+    std::deque<obs::FlightRecorder> recorders;
+    std::deque<obs::TelemetrySampler> samplers;
     std::deque<obs::slo::SloMonitor> monitors;
     std::deque<obs::slo::HealthLog> logs;
     for (std::size_t i = 0; i < scenario_count; ++i) {
-      monitors.push_back(merged.clone_config());
-      logs.emplace_back();
+      if (sinks.metrics != nullptr) {
+        metrics.emplace_back(sinks.metrics->enabled());
+      }
+      if (sinks.recorder != nullptr) {
+        recorders.emplace_back(sinks.recorder->enabled(),
+                               sinks.recorder_capacity);
+      }
+      if (sinks.telemetry != nullptr) {
+        samplers.emplace_back(sinks.telemetry_interval,
+                              sinks.telemetry->enabled());
+      }
+      if (sinks.slo != nullptr) monitors.push_back(sinks.slo->clone_config());
+      if (sinks.health != nullptr) logs.emplace_back();
     }
-    auto results = run(scenario_count,
-                       [&fn, &monitors, &logs](const ScenarioSpec& spec) {
-                         return fn(spec, monitors[spec.index],
-                                   logs[spec.index]);
-                       });
+    auto results = run(scenario_count, [&](const ScenarioSpec& spec) {
+      const std::size_t i = spec.index;
+      auto slot = [i](auto& items) {
+        return items.empty() ? nullptr : &items[i];
+      };
+      const ScenarioSinks local{slot(metrics), slot(recorders),
+                                slot(samplers), slot(monitors), slot(logs)};
+      obs::ScopedSpan span(local.recorder, "sweep", "scenario", 0.0);
+      return fn(spec, local);
+    });
     for (std::size_t i = 0; i < scenario_count; ++i) {
-      merged.merge(monitors[i], static_cast<std::uint32_t>(i));
-      health.append(logs[i], static_cast<std::uint32_t>(i));
-    }
-    return results;
-  }
-
-  /// Knobs for run_traced's per-scenario observability objects.
-  struct TraceOptions {
-    /// Ring capacity of each scenario's private recorder (the merged
-    /// recorder's capacity is whatever the caller constructed it with).
-    std::size_t recorder_capacity = obs::FlightRecorder::kDefaultCapacity;
-    /// Cadence of each scenario's TelemetrySampler, in sim seconds.
-    Seconds telemetry_interval = 0.01;
-  };
-
-  /// Tracing sweep: each scenario gets a private FlightRecorder and
-  /// TelemetrySampler (no cross-thread sharing). After the sweep the
-  /// per-scenario recorders are merged into `trace` with the scenario
-  /// index as the Perfetto track, and the samplers are appended to
-  /// `telemetry`, both in scenario order — so, wall-clock fields aside,
-  /// the merged trace and the telemetry table are independent of the
-  /// thread count. Each scenario also gets a "sweep"/"scenario" span.
-  /// fn: (const ScenarioSpec&, obs::FlightRecorder&,
-  ///      obs::TelemetrySampler&) -> R.
-  template <typename Fn>
-  auto run_traced(std::size_t scenario_count, obs::FlightRecorder& trace,
-                  obs::TelemetryTable& telemetry, Fn&& fn,
-                  TraceOptions opts = {})
-      -> std::vector<std::invoke_result_t<Fn&, const ScenarioSpec&,
-                                          obs::FlightRecorder&,
-                                          obs::TelemetrySampler&>> {
-    std::deque<obs::FlightRecorder> recorders;
-    std::deque<obs::TelemetrySampler> samplers;
-    for (std::size_t i = 0; i < scenario_count; ++i) {
-      recorders.emplace_back(trace.enabled(), opts.recorder_capacity);
-      samplers.emplace_back(opts.telemetry_interval, telemetry.enabled());
-    }
-    auto results =
-        run(scenario_count, [&fn, &recorders, &samplers](
-                                const ScenarioSpec& spec) {
-          obs::FlightRecorder& rec = recorders[spec.index];
-          obs::ScopedSpan span(&rec, "sweep", "scenario", 0.0);
-          return fn(spec, rec, samplers[spec.index]);
-        });
-    for (std::size_t i = 0; i < scenario_count; ++i) {
-      trace.merge(recorders[i], static_cast<std::uint32_t>(i));
-      telemetry.append(i, samplers[i]);
+      const auto track = static_cast<std::uint32_t>(i);
+      if (sinks.metrics != nullptr) sinks.metrics->merge(metrics[i]);
+      if (sinks.recorder != nullptr) sinks.recorder->merge(recorders[i], track);
+      if (sinks.telemetry != nullptr) sinks.telemetry->append(i, samplers[i]);
+      if (sinks.slo != nullptr) sinks.slo->merge(monitors[i], track);
+      if (sinks.health != nullptr) sinks.health->append(logs[i], track);
     }
     return results;
   }

@@ -112,36 +112,4 @@ double cdf_percentile(const std::vector<CdfPoint>& cdf, double p) {
   return cdf.back().value;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo) {
-  // Validate before deriving anything: computing the width first would
-  // turn bins == 0 or hi <= lo into an inf/NaN width instead of a clean
-  // contract violation.
-  SBK_EXPECTS(bins > 0);
-  SBK_EXPECTS(hi > lo);
-  width_ = (hi - lo) / static_cast<double>(bins);
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) {
-  auto raw = static_cast<long long>(std::floor((x - lo_) / width_));
-  long long clamped =
-      std::clamp<long long>(raw, 0, static_cast<long long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(clamped)];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const {
-  SBK_EXPECTS(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  SBK_EXPECTS(bin < counts_.size());
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  return bin_lo(bin) + width_;
-}
-
 }  // namespace sbk

@@ -63,24 +63,4 @@ struct CdfPoint {
 /// violation.
 [[nodiscard]] double cdf_percentile(const std::vector<CdfPoint>& cdf, double p);
 
-/// Fixed-width histogram over [lo, hi) with `bins` buckets; out-of-range
-/// samples clamp to the first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bin_count(std::size_t bin) const;
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t bin) const;
-  [[nodiscard]] double bin_hi(std::size_t bin) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace sbk

@@ -12,6 +12,7 @@
 #include "control/controller_cluster.hpp"
 #include "faultinject/fault_plan.hpp"
 #include "faultinject/report_stream.hpp"
+#include "obs/metrics.hpp"
 #include "service/controller_service.hpp"
 #include "service/ingress_queue.hpp"
 #include "service/message.hpp"
@@ -283,6 +284,35 @@ TEST(ControllerService, BackpressureEngagesUnderCompressedBursts) {
               const auto b = fi::breakdown(stream);
               return static_cast<std::uint64_t>(b.failure_reports);
             }());
+}
+
+TEST(ControllerService, BatchSizeMetricStaysBoundedOverManyBatches) {
+  // An always-on service must not keep per-batch state for its whole
+  // life: batch sizes go straight into the registry's bounded histogram
+  // at dispatch.
+  sharebackup::Fabric fabric(
+      sharebackup::FabricParams{.fat_tree = {.k = 4}, .backups_per_group = 1});
+  control::Controller controller(fabric, control::ControllerConfig{});
+  ControllerService service(fabric, controller);
+  obs::MetricsRegistry metrics;
+  service.attach_metrics(&metrics);
+  // Healthy probes in groups of four per millisecond: pure telemetry,
+  // so the run is all batching and no controller work.
+  std::vector<ServiceMessage> stream;
+  for (std::uint64_t i = 0; i < 40000; ++i) {
+    stream.push_back(probe_at(static_cast<double>(i / 4) * 1e-3, i));
+  }
+  service.run_inline(stream);
+
+  const obs::LatencyHistogram* sizes =
+      metrics.find_latency("service.batch_size");
+  ASSERT_NE(sizes, nullptr);
+  EXPECT_GT(service.ingress_stats().batches, 5000u);
+  EXPECT_EQ(sizes->count(), service.ingress_stats().batches);
+  EXPECT_EQ(sizes->sum(),
+            static_cast<double>(service.ingress_stats().processed));
+  EXPECT_LE(sizes->memory_bytes(),
+            obs::slo::LogHistogram::kBucketCount * sizeof(std::uint64_t));
 }
 
 // ---------------------------------------------------------------------------

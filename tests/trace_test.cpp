@@ -13,6 +13,8 @@
 #include "faultinject/chaos_soak.hpp"
 #include "net/algo.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/slo/health_snapshot.hpp"
+#include "obs/slo/slo_monitor.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace_load.hpp"
 #include "routing/router.hpp"
@@ -268,32 +270,50 @@ std::string deterministic_fingerprint(const FlightRecorder& rec) {
 }
 
 TEST(TracedSweep, OutputIndependentOfThreadCount) {
+  // One soak feeds every sink at once: trace, telemetry, SLO monitor
+  // and health log. Each merged output must be bit-identical at any
+  // thread count.
+  struct Outputs {
+    std::string trace;
+    std::string telemetry;
+    std::string slo;
+    std::string health;
+  };
   auto run = [](std::size_t threads) {
     faultinject::ChaosSoakConfig cfg;
     cfg.scenarios = 4;
     cfg.master_seed = 7;
     cfg.threads = threads;
-    cfg.obs.trace = true;
+    sweep::SweepSinks sinks;
     FlightRecorder trace(/*enabled=*/true,
-                         cfg.obs.trace_capacity * cfg.scenarios);
+                         sinks.recorder_capacity * cfg.scenarios);
     TelemetryTable telemetry;
+    slo::SloMonitor monitor = faultinject::make_chaos_slo(cfg);
+    slo::HealthLog health;
+    sinks.recorder = &trace;
+    sinks.telemetry = &telemetry;
+    sinks.slo = &monitor;
+    sinks.health = &health;
     faultinject::ChaosSoakReport report =
-        run_chaos_soak(cfg, trace, telemetry);
+        faultinject::run_chaos_soak(cfg, sinks);
     EXPECT_TRUE(report.clean());
+    EXPECT_EQ(health.size(), cfg.scenarios);
+    EXPECT_GT(monitor.good_total(0) + monitor.bad_total(0), 0u);
     std::ostringstream tel;
     telemetry.write_csv(tel);
-    return std::make_pair(deterministic_fingerprint(trace), tel.str());
+    return Outputs{deterministic_fingerprint(trace), tel.str(),
+                   monitor.fingerprint(), health.fingerprint()};
   };
-  const auto serial = run(1);
-  EXPECT_FALSE(serial.first.empty());
-  EXPECT_NE(serial.second.find("net.live_link_frac"), std::string::npos);
-  const auto four = run(4);
-  const auto eight = run(8);
-  // Bit-identical trace content (minus wall clocks) and telemetry CSV.
-  EXPECT_EQ(serial.first, four.first);
-  EXPECT_EQ(serial.first, eight.first);
-  EXPECT_EQ(serial.second, four.second);
-  EXPECT_EQ(serial.second, eight.second);
+  const Outputs serial = run(1);
+  EXPECT_FALSE(serial.trace.empty());
+  EXPECT_NE(serial.telemetry.find("net.live_link_frac"), std::string::npos);
+  for (std::size_t threads : {4u, 8u}) {
+    const Outputs other = run(threads);
+    EXPECT_EQ(serial.trace, other.trace) << threads;
+    EXPECT_EQ(serial.telemetry, other.telemetry) << threads;
+    EXPECT_EQ(serial.slo, other.slo) << threads;
+    EXPECT_EQ(serial.health, other.health) << threads;
+  }
 }
 
 }  // namespace
