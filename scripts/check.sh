@@ -13,10 +13,13 @@
 #                  harness sweep.
 #   --asan         Configure an ASan+UBSan build
 #                  (-DSBK_SANITIZE=address,undefined, default dir
-#                  build-asan) and run the fault-injection and
-#                  control-plane suites under it — the chaos paths
-#                  exercise the allocation-heavy recovery machinery that
-#                  ASan watches best.
+#                  build-asan) and run the fault-injection,
+#                  control-plane, controller-cluster (Cluster.*) and
+#                  service suites under it — the chaos paths exercise
+#                  the allocation-heavy recovery machinery that ASan
+#                  watches best, and the cluster's headless buffer
+#                  stores deferred actions that capture both controller
+#                  drivers.
 #   --bench-smoke  Build the Release tree (default dir build-bench) and run
 #                  micro_perf for a handful of iterations per benchmark —
 #                  a fast "do the benchmarks still run" check, not a
@@ -400,10 +403,13 @@ fi
 if [ "$ASAN" = 1 ]; then
   BUILD="${1:-build-asan}"
   cmake -B "$BUILD" -G Ninja -DSBK_SANITIZE=address,undefined
-  cmake --build "$BUILD" --target faultinject_test control_plane_test
+  cmake --build "$BUILD" --target faultinject_test control_plane_test \
+    control_test service_test
   "$BUILD"/tests/faultinject_test
   "$BUILD"/tests/control_plane_test
-  echo "asan: faultinject_test + control_plane_test clean"
+  "$BUILD"/tests/control_test --gtest_filter='Cluster.*'
+  "$BUILD"/tests/service_test
+  echo "asan: faultinject_test + control_plane_test + Cluster.* + service_test clean"
   exit 0
 fi
 

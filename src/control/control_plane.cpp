@@ -8,21 +8,9 @@ ControlPlane::ControlPlane(sharebackup::Fabric& fabric,
                            sim::EventQueue& queue, ControlPlaneConfig config)
     : fabric_(&fabric), queue_(&queue), config_(config),
       controller_(fabric, config.controller),
-      detector_(queue, fabric.network(), config.detector) {
-  if (config_.cluster_members > 0) {
-    ClusterConfig cc = config_.cluster;
-    cc.members = config_.cluster_members;
-    cluster_.emplace(queue, cc);
-    cluster_->on_election([this](std::size_t, std::size_t, Seconds at) {
-      // Failure reports that arrived while headless reach the newly
-      // elected primary now.
-      replay_buffered(at);
-    });
-  }
-  if (config_.manage_tables) {
-    tables_.emplace(fabric);
-    controller_.attach_table_manager(&*tables_);
-  }
+      detector_(queue, fabric.network(), config.detector),
+      cluster_(queue, config.cluster), tables_(fabric) {
+  controller_.attach_table_manager(&tables_);
 
   controller_.set_retry_listener(
       [this](const RecoveryOutcome& out, std::optional<net::NodeId> node,
@@ -44,10 +32,6 @@ ControlPlane::ControlPlane(sharebackup::Fabric& fabric,
   detector_.on_link_failure([this](net::LinkId link, Seconds t) {
     deliver_report(Report{std::nullopt, link}, t);
   });
-}
-
-bool ControlPlane::controller_available() const {
-  return !cluster_.has_value() || cluster_->available();
 }
 
 void ControlPlane::deliver_report(Report r, Seconds t) {
@@ -80,22 +64,20 @@ void ControlPlane::deliver_report(Report r, Seconds t) {
 }
 
 void ControlPlane::handle_report(const Report& r, Seconds t) {
-  if (!controller_available()) {
-    if (cluster_.has_value() && config_.buffer_reports_during_election) {
-      election_buffer_.push_back(r);
-      ++reports_buffered_;
-      if (recorder_ != nullptr) {
-        recorder_->instant("control", "report_buffered", t);
-      }
-    } else {
-      ++reports_dropped_;
-      if (recorder_ != nullptr) {
-        recorder_->instant("control", "report_dropped", t);
-      }
-    }
+  if (cluster_.available()) {
+    process_report(r, t);
     return;
   }
-  process_report(r, t);
+  // Headless: the switch re-sends to whichever primary comes next.
+  if (recorder_ != nullptr) {
+    recorder_->instant("control", "report_buffered", t);
+  }
+  cluster_.defer([this, r](Seconds at) {
+    if (recorder_ != nullptr) {
+      recorder_->instant("control", "report_replayed", at);
+    }
+    process_report(r, at);
+  });
 }
 
 void ControlPlane::process_report(const Report& r, Seconds t) {
@@ -133,18 +115,6 @@ void ControlPlane::schedule_diagnosis_if_pending() {
   });
 }
 
-void ControlPlane::replay_buffered(Seconds t) {
-  while (!election_buffer_.empty() && controller_available()) {
-    Report r = election_buffer_.front();
-    election_buffer_.pop_front();
-    ++reports_replayed_;
-    if (recorder_ != nullptr) {
-      recorder_->instant("control", "report_replayed", t);
-    }
-    process_report(r, t);
-  }
-}
-
 void ControlPlane::start(Seconds horizon) {
   for (net::NodeId sw : fabric_->fat_tree().all_switches()) {
     detector_.watch_node(sw, horizon);
@@ -153,7 +123,7 @@ void ControlPlane::start(Seconds horizon) {
     detector_.watch_link(
         net::LinkId(static_cast<net::LinkId::value_type>(i)), horizon);
   }
-  if (cluster_.has_value()) cluster_->start(horizon);
+  cluster_.start(horizon);
 }
 
 }  // namespace sbk::control

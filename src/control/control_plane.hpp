@@ -1,5 +1,5 @@
 // The assembled ShareBackup control plane: failure detector + controller
-// + routing-table mirror + (optional) controller cluster, wired over one
+// + routing-table mirror + controller cluster, wired over one
 // discrete-event queue. This is the component a deployment would run;
 // the pieces remain independently usable and tested.
 //
@@ -10,9 +10,10 @@
 //                                             │  the fault hook; reports
 //                                             │  arriving while no
 //                                             │  primary controller is
-//                                             │  up are buffered and
-//                                             │  replayed to the newly
-//                                             │  elected primary)
+//                                             │  up wait in the
+//                                             │  cluster's headless
+//                                             │  buffer for the next
+//                                             │  usable primary)
 //                                   controller acts: failover /
 //                                   dual-replace / host policy
 //                                             │
@@ -21,7 +22,6 @@
 //                       diagnoses queued by retried parked recoveries
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <optional>
 
@@ -36,20 +36,10 @@ namespace sbk::control {
 struct ControlPlaneConfig {
   ControllerConfig controller;
   DetectorConfig detector;
-  /// Controllers in the replicated cluster; 0 disables replication (a
-  /// single, never-failing controller).
-  std::size_t cluster_members = 3;
   ClusterConfig cluster;
   /// Delay before a queued offline diagnosis runs (it is background
   /// work; the paper only requires it off the critical path).
   Seconds diagnosis_delay = 1.0;
-  /// Mirror failovers into an ImpersonationStore (§4.3 tables).
-  bool manage_tables = true;
-  /// Buffer failure reports that arrive while the cluster has no usable
-  /// primary and replay them once an election completes, instead of
-  /// dropping them (switches persist unacknowledged reports and re-send
-  /// to the new primary). Disable to get the historical drop behavior.
-  bool buffer_reports_during_election = true;
 };
 
 /// Everything §4 describes, assembled and self-driving.
@@ -67,30 +57,20 @@ class ControlPlane {
     return controller_;
   }
   [[nodiscard]] FailureDetector& detector() noexcept { return detector_; }
-  [[nodiscard]] ControllerCluster* cluster() noexcept {
-    return cluster_ ? &*cluster_ : nullptr;
+  /// The cluster also holds the headless report buffer and its
+  /// buffered / replayed / backlog counts.
+  [[nodiscard]] ControllerCluster& cluster() noexcept { return cluster_; }
+  [[nodiscard]] const ControllerCluster& cluster() const noexcept {
+    return cluster_;
   }
-  [[nodiscard]] const TableManager* tables() const noexcept {
-    return tables_ ? &*tables_ : nullptr;
+  /// Failovers mirrored into the §4.3 impersonation tables.
+  [[nodiscard]] const TableManager& tables() const noexcept {
+    return tables_;
   }
 
-  /// Reports dropped because no primary controller was available (only
-  /// with buffer_reports_during_election disabled, or without a cluster
-  /// to buffer for).
-  [[nodiscard]] std::size_t reports_dropped() const noexcept {
-    return reports_dropped_;
-  }
   /// Reports lost on the control channel by the fault hook.
   [[nodiscard]] std::size_t reports_lost() const noexcept {
     return reports_lost_;
-  }
-  /// Reports buffered while the cluster had no primary.
-  [[nodiscard]] std::size_t reports_buffered() const noexcept {
-    return reports_buffered_;
-  }
-  /// Buffered reports replayed to a newly elected primary.
-  [[nodiscard]] std::size_t reports_replayed() const noexcept {
-    return reports_replayed_;
   }
 
   /// Observer hook: called after every handled failure event.
@@ -138,31 +118,25 @@ class ControlPlane {
     std::optional<net::LinkId> link;
   };
 
-  [[nodiscard]] bool controller_available() const;
   /// Applies the report fault hook, then delivers (possibly later).
   void deliver_report(Report r, Seconds t);
-  /// Hands an arrived report to the controller, or buffers/drops it
-  /// while the cluster is headless.
+  /// Hands an arrived report to the controller, or defers it to the
+  /// cluster's headless buffer.
   void handle_report(const Report& r, Seconds t);
   void process_report(const Report& r, Seconds t);
   void schedule_diagnosis_if_pending();
-  void replay_buffered(Seconds t);
 
   sharebackup::Fabric* fabric_;
   sim::EventQueue* queue_;
   ControlPlaneConfig config_;
   Controller controller_;
   FailureDetector detector_;
-  std::optional<ControllerCluster> cluster_;
-  std::optional<TableManager> tables_;
+  ControllerCluster cluster_;
+  TableManager tables_;
   RecoveryObserver observer_;
   ReportFaultHook report_fault_;
   obs::FlightRecorder* recorder_ = nullptr;
-  std::deque<Report> election_buffer_;
-  std::size_t reports_dropped_ = 0;
   std::size_t reports_lost_ = 0;
-  std::size_t reports_buffered_ = 0;
-  std::size_t reports_replayed_ = 0;
 };
 
 }  // namespace sbk::control

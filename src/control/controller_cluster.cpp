@@ -99,6 +99,7 @@ void ControllerCluster::finish_election() {
     SBK_LOG_INFO("cluster", "term " << term_ << ": controller " << *primary_
                                     << " elected primary");
     if (election_cb_) election_cb_(*primary_, term_, queue_->now());
+    resume(queue_->now());
   } else {
     SBK_LOG_WARN("cluster",
                  "election aborted: no live controllers (term stays "
@@ -123,6 +124,7 @@ void ControllerCluster::fail_member(std::size_t id) {
 
 void ControllerCluster::repair_member(std::size_t id) {
   SBK_EXPECTS(id < alive_.size());
+  const bool was_available = available();
   alive_[id] = true;
   // Reviving the member the (stale) primary_ pointer still names makes
   // the cluster available again without an election — the primary came
@@ -135,6 +137,27 @@ void ControllerCluster::repair_member(std::size_t id) {
   // miss the (dead or absent) primary and call an election, which the
   // repaired member can win — total cluster death is survivable.
   schedule_tick_if_idle();
+  // No election will fire for a primary that blipped back, so the held
+  // work replays here or it would wait for the next outage.
+  if (!was_available && available()) resume(queue_->now());
+}
+
+void ControllerCluster::defer(Deferred action) {
+  SBK_EXPECTS_MSG(!available(), "defer() is for a headless cluster");
+  headless_.push_back(std::move(action));
+  ++buffered_;
+}
+
+void ControllerCluster::resume(Seconds at) {
+  if (available_cb_) available_cb_(at);
+  // Moved out first, so the loop never iterates a vector that an
+  // action could append to.
+  std::vector<Deferred> pending = std::move(headless_);
+  headless_.clear();
+  for (Deferred& action : pending) {
+    ++replayed_;
+    action(at);
+  }
 }
 
 std::optional<std::size_t> ControllerCluster::primary() const {

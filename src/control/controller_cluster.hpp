@@ -9,6 +9,15 @@
 // leaves controller coordination as an open question (§6) — but it
 // demonstrates the availability property the architecture assumes:
 // failure reactions continue after any minority of controllers die.
+//
+// Headless buffer: work that needs a usable primary but arrives while
+// the cluster has none (a switch re-sends an unacknowledged report to
+// the next primary, §5.1) is held here as one deferred action per
+// message and replayed in arrival order the moment a primary is usable
+// again — after a won election's callback, or when repair_member
+// revives the stale primary before any election. Both controller
+// drivers (control::ControlPlane and service::ReplicatedControllerService)
+// buffer through this one mechanism.
 #pragma once
 
 #include <cstddef>
@@ -74,6 +83,26 @@ class ControllerCluster {
                          Seconds at)>;
   void on_election(ElectionCallback cb) { election_cb_ = std::move(cb); }
 
+  /// Called at every transition to available() — after the election
+  /// callback of a won election, or when repair_member revives the
+  /// stale primary — right before the headless buffer replays.
+  using AvailableCallback = std::function<void(Seconds at)>;
+  void on_available(AvailableCallback cb) { available_cb_ = std::move(cb); }
+
+  /// Holds `action` until a primary is usable, then runs it with the
+  /// replay time (see file comment). Requires !available(): a caller
+  /// with a usable primary acts directly.
+  using Deferred = std::function<void(Seconds at)>;
+  void defer(Deferred action);
+  /// Deferred actions still waiting (nonzero at the end of a run only
+  /// when the whole cluster died and nobody repaired it).
+  [[nodiscard]] std::size_t backlog() const noexcept {
+    return headless_.size();
+  }
+  /// Actions ever deferred / replayed.
+  [[nodiscard]] std::size_t buffered() const noexcept { return buffered_; }
+  [[nodiscard]] std::size_t replayed() const noexcept { return replayed_; }
+
   /// Total unavailability (no usable primary) accumulated up to now.
   [[nodiscard]] Seconds downtime() const noexcept { return downtime_; }
 
@@ -82,6 +111,8 @@ class ControllerCluster {
   void start_election();
   void finish_election();
   void track_availability();
+  /// Runs the available callback, then every deferred action in order.
+  void resume(Seconds at);
   [[nodiscard]] bool any_alive() const;
   void schedule_tick_if_idle();
 
@@ -93,6 +124,10 @@ class ControllerCluster {
   int primary_misses_ = 0;
   bool election_in_progress_ = false;
   ElectionCallback election_cb_;
+  AvailableCallback available_cb_;
+  std::vector<Deferred> headless_;
+  std::size_t buffered_ = 0;
+  std::size_t replayed_ = 0;
   Seconds downtime_ = 0.0;
   std::optional<Seconds> unavailable_since_;
   Seconds horizon_ = 0.0;

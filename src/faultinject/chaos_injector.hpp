@@ -11,7 +11,8 @@
 //      nothing is silently lost. A parked failure must have a cause: an
 //      exhausted backup pool on (one of) its failure group(s), or a
 //      currently tripped watchdog holding recovery for humans.
-//   2. No failure report was dropped (buffering must cover elections).
+//   2. The cluster's headless buffer is empty: every report that
+//      arrived with no usable primary reached a later one.
 //   3. Offline diagnosis drained (background work cannot leak).
 //   4. The fabric's internal invariants hold (circuit matchings, pool
 //      accounting, device states).

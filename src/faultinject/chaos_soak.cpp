@@ -94,7 +94,8 @@ ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
 
   sim::EventQueue queue;
   control::ControlPlaneConfig pc;
-  pc.cluster_members = config.cluster_members;
+  // The plan's member count is the one kTotalDeath kills.
+  pc.cluster.members = config.plan.cluster_members;
   pc.diagnosis_delay = config.diagnosis_delay;
   pc.detector.report_retry_interval = config.report_retry_interval;
   control::ControlPlane plane(fabric, queue, pc);
@@ -129,7 +130,7 @@ ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
       return static_cast<double>(plane.controller().pending_recoveries());
     });
     sampler->add_probe("plane.reports_buffered", [&plane] {
-      return static_cast<double>(plane.reports_buffered());
+      return static_cast<double>(plane.cluster().buffered());
     });
     // Pre-scheduled cadence events: queue events at equal timestamps
     // fire in insertion order, so scheduling these before the control
@@ -208,7 +209,7 @@ ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
   result.requeued = cs.requeued;
   result.watchdog_trips = cs.watchdog_trips;
   result.reports_lost = plane.reports_lost();
-  result.reports_buffered = plane.reports_buffered();
+  result.reports_buffered = plane.cluster().buffered();
 
   if (config.reachability_probes > 0) {
     race_reachability(config, spec, fabric, result);

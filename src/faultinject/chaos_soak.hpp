@@ -26,7 +26,6 @@ struct ChaosSoakConfig {
   /// Fabric under test.
   int k = 4;
   int backups_per_group = 1;
-  std::size_t cluster_members = 3;
   /// Background diagnosis is scheduled this soon after a report: small
   /// enough that every scenario drains its diagnosis queue in-horizon,
   /// but past the worst-case *modeled* control-path latency (a dual

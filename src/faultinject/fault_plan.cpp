@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "net/network.hpp"
-#include "topo/position.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -12,7 +11,6 @@ namespace sbk::faultinject {
 
 namespace {
 
-using sharebackup::DeviceState;
 using sharebackup::DeviceUid;
 using sharebackup::Fabric;
 
@@ -27,18 +25,6 @@ std::vector<net::LinkId> switch_links(const Fabric& fabric) {
     if (net::is_switch(net.node(l.a).kind) &&
         net::is_switch(net.node(l.b).kind)) {
       out.push_back(id);
-    }
-  }
-  return out;
-}
-
-std::vector<DeviceUid> initial_spares(const Fabric& fabric) {
-  std::vector<DeviceUid> out;
-  int k = fabric.k();
-  for (topo::Layer layer :
-       {topo::Layer::kEdge, topo::Layer::kAgg, topo::Layer::kCore}) {
-    for (int g = 0; g < topo::failure_group_count(k, layer); ++g) {
-      for (DeviceUid uid : fabric.spares(layer, g)) out.push_back(uid);
     }
   }
   return out;
@@ -121,7 +107,7 @@ FaultPlan FaultPlan::generate(const Fabric& fabric,
   // Dead-on-arrival spares: break one interface on a sampled fraction of
   // the initial pool. The controller must detect this post-failover and
   // cascade to the next spare.
-  std::vector<DeviceUid> spares = initial_spares(fabric);
+  std::vector<DeviceUid> spares = fabric.all_spares();
   std::size_t n_doa = static_cast<std::size_t>(
       config.doa_spare_fraction * static_cast<double>(spares.size()));
   for (std::size_t idx :
@@ -172,7 +158,12 @@ FaultPlan FaultPlan::generate(const Fabric& fabric,
       ControllerCrashEvent second;
       second.at = anchor + 0.6 * config.cluster_election_bound;
       second.member = kPrimaryMember;
-      second.repair_at = first.repair_at;
+      // Both casualties come back together, unless a repair delay
+      // shorter than the election bound puts that before this crash;
+      // then this casualty gets its own delay.
+      second.repair_at = first.repair_at >= second.at
+                             ? first.repair_at
+                             : second.at + config.controller_repair_delay;
       plan.controller_crashes.push_back(second);
       break;
     }
@@ -193,6 +184,9 @@ FaultPlan FaultPlan::generate(const Fabric& fabric,
     }
   }
 
+  for (const ControllerCrashEvent& ev : plan.controller_crashes) {
+    SBK_EXPECTS_MSG(ev.repair_at >= ev.at, "repair scheduled before crash");
+  }
   return plan;
 }
 

@@ -6,7 +6,6 @@
 #include <limits>
 #include <sstream>
 
-#include "topo/position.hpp"
 #include "util/assert.hpp"
 
 namespace sbk::service {
@@ -43,28 +42,11 @@ ControllerService::ControllerService(sharebackup::Fabric& fabric,
     : fabric_(&fabric), controller_(&controller), config_(config),
       ingress_(config.ingress,
                [this](const std::vector<ServiceMessage>& batch, Seconds start,
-                      Seconds end) { dispatch_batch(batch, start, end); }) {
+                      Seconds end) { dispatch_batch(batch, start, end); }),
+      switch_devices_(fabric.switch_devices()) {
   SBK_EXPECTS(config_.staging_capacity >= 1);
   SBK_EXPECTS(config_.sweep_step > 0.0);
   SBK_EXPECTS(config_.max_sweep_rounds >= 1);
-
-  // Closed switch-device universe for the repair crew (kRepairAll):
-  // every position's current device plus every initial spare. Failovers
-  // only permute devices within this set.
-  for (net::NodeId sw : fabric_->fat_tree().all_switches()) {
-    auto pos = fabric_->position_of_node(sw);
-    SBK_ASSERT(pos.has_value());
-    switch_devices_.push_back(fabric_->device_at(*pos));
-  }
-  const int k = fabric_->k();
-  for (topo::Layer layer :
-       {topo::Layer::kEdge, topo::Layer::kAgg, topo::Layer::kCore}) {
-    for (int g = 0; g < topo::failure_group_count(k, layer); ++g) {
-      for (DeviceUid uid : fabric_->spares(layer, g)) {
-        switch_devices_.push_back(uid);
-      }
-    }
-  }
 
   if (config_.slo.enabled) {
     const ServiceSloConfig& s = config_.slo;
@@ -348,21 +330,10 @@ void ControllerService::handle_message(const ServiceMessage& msg,
     case MessageKind::kLinkFailureReport: {
       ++stats_.link_reports;
       slo_note_availability(true, start);
-      if (msg.inject) {
-        const net::Link& l = net.link(msg.link);
-        if (!net.link_failed(msg.link) && !net.node_failed(l.a) &&
-            !net.node_failed(l.b)) {
-          // Ground the failure in a physically broken interface on one
-          // side, so offline diagnosis has a real culprit to find.
-          net::NodeId bad_node = msg.bad_side == 0 ? l.a : l.b;
-          auto pos = fabric_->position_of_node(bad_node);
-          SBK_ASSERT(pos.has_value());
-          fabric_->set_interface_health(
-              {fabric_->device_at(*pos), fabric_->cs_of_link(msg.link)},
-              false);
-          net.fail_link(msg.link);
-          ++stats_.failures_injected;
-        }
+      // First report of this failure instance: ground it.
+      if (msg.inject &&
+          fabric_->fail_link_at_interface(msg.link, msg.bad_side)) {
+        ++stats_.failures_injected;
       }
       if (!net.link_failed(msg.link)) ++stats_.stale_reports;
       controller_->on_link_failure(msg.link);

@@ -36,6 +36,13 @@ ReplicatedControllerService::ReplicatedControllerService(
       [this](std::size_t member, std::size_t term, Seconds at) {
         seat_primary(member, term, at);
       });
+  // Every return to availability (election or blip repair) closes the
+  // headless window and re-captures the lease before the cluster
+  // replays its headless buffer.
+  cluster_.on_available([this](Seconds at) {
+    close_headless_window(at);
+    lease_ = capture_lease();
+  });
   // The stream length is unknown up front; the heartbeat chain runs
   // lazily (run_until at batch begins) so an infinite horizon costs
   // only the ticks the batches actually reach.
@@ -44,7 +51,7 @@ ReplicatedControllerService::ReplicatedControllerService(
 
 void ReplicatedControllerService::on_batch_begin(Seconds start) {
   // Elections whose timeline completes strictly before this batch fire
-  // here (seat_primary: handoff + buffer replay at the election time).
+  // here (handoff, then buffer replay, at the election time).
   sim_.run_until(start);
   // The batch header set the time of whichever controller was acting
   // when the batch opened; a failover during run_until re-targeted it.
@@ -87,7 +94,10 @@ void ReplicatedControllerService::handle_message(const ServiceMessage& msg,
     }
     open_headless_window(start);
     slo_note_availability(false, start);
-    buffer_.push_back(msg);
+    cluster_.defer([this, msg](Seconds at) {
+      stats_.replayed_reports = cluster_.replayed();
+      dispatch_to_primary(msg, at);
+    });
     return;
   }
   dispatch_to_primary(msg, start);
@@ -125,30 +135,25 @@ void ReplicatedControllerService::apply_crash(const ServiceMessage& msg,
 
 void ReplicatedControllerService::apply_repair(const ServiceMessage& msg,
                                                Seconds at) {
+  // kClusterPrimary revives every casualty; a member id revives that
+  // member if it is down. Reviving the stale primary (it blipped back
+  // before the cluster gave up on it, or came back after total death
+  // with its leadership intact) makes the cluster available with no
+  // failover: the cluster closes the window and replays the buffer into
+  // the same controller, whose in-flight state survived. The instant is
+  // recorded before the first repair so it precedes both.
   bool revived = false;
-  if (msg.member == kClusterPrimary) {
-    for (std::size_t i = 0; i < cluster_.member_count(); ++i) {
-      if (!cluster_.member_alive(i)) {
-        cluster_.repair_member(i);
-        revived = true;
-      }
+  for (std::size_t i = 0; i < cluster_.member_count(); ++i) {
+    if (cluster_.member_alive(i) ||
+        (msg.member != kClusterPrimary && msg.member != i)) {
+      continue;
     }
-  } else if (msg.member < cluster_.member_count() &&
-             !cluster_.member_alive(msg.member)) {
-    cluster_.repair_member(msg.member);
+    if (!revived && recorder_ != nullptr) {
+      recorder_->instant("service", "controller_repair", at);
+    }
     revived = true;
+    cluster_.repair_member(i);
   }
-  if (revived && recorder_ != nullptr) {
-    recorder_->instant("service", "controller_repair", at);
-  }
-  if (!cluster_.available()) return;  // follower repair, or election still due
-  // The stale primary blipped back before the cluster gave up on it (or
-  // the repair revived it after total death with its leadership
-  // intact): no failover happened, the window closes, and the buffer
-  // replays into the same controller whose in-flight state survived.
-  close_headless_window(at);
-  lease_ = capture_lease();
-  replay_buffer(at);
 }
 
 void ReplicatedControllerService::seat_primary(std::size_t member,
@@ -166,9 +171,6 @@ void ReplicatedControllerService::seat_primary(std::size_t member,
                        "member#" + std::to_string(member) + " term#" +
                            std::to_string(term));
   }
-  close_headless_window(at);
-  lease_ = Lease{member, term};
-  replay_buffer(at);
 }
 
 void ReplicatedControllerService::dispatch_to_primary(
@@ -178,16 +180,6 @@ void ReplicatedControllerService::dispatch_to_primary(
                  "failure report acted on twice across failovers");
   acted_[msg.seq] = true;
   ControllerService::handle_message(msg, start);
-}
-
-void ReplicatedControllerService::replay_buffer(Seconds at) {
-  if (buffer_.empty()) return;
-  std::vector<ServiceMessage> pending = std::move(buffer_);
-  buffer_.clear();
-  for (const ServiceMessage& msg : pending) {
-    ++stats_.replayed_reports;
-    dispatch_to_primary(msg, at);
-  }
 }
 
 void ReplicatedControllerService::open_headless_window(Seconds at) {
@@ -246,10 +238,6 @@ void ReplicatedControllerService::final_sweep() {
       std::max(ingress_stats().last_batch_end, sim_.now()) +
       rconfig_.cluster.election_bound() + rconfig_.cluster.heartbeat_interval;
   sim_.run_until(settle);
-  if (cluster_.available() && !buffer_.empty()) {
-    lease_ = capture_lease();
-    replay_buffer(settle);
-  }
   ControllerService::final_sweep();
   // The base sweep charged audit_dropped from the final acting replica;
   // the service-level number is the sum across the whole cluster.
@@ -269,7 +257,7 @@ void ReplicatedControllerService::fill_health(
   snap.cluster_term = cluster_.term();
   snap.acting_member = static_cast<int>(acting_);
   snap.cluster_available = cluster_.available();
-  snap.headless_backlog = buffer_.size();
+  snap.headless_backlog = cluster_.backlog();
   snap.headless_seconds = stats_.headless_seconds;
 }
 
@@ -281,7 +269,7 @@ void ReplicatedControllerService::publish_metrics() {
   metrics_->gauge("service.max_headless_window_s")
       .set(stats_.max_headless_window);
   metrics_->gauge("service.headless_backlog")
-      .set(static_cast<double>(buffer_.size()));
+      .set(static_cast<double>(cluster_.backlog()));
   metrics_->gauge("service.cluster_term")
       .set(static_cast<double>(cluster_.term()));
 }

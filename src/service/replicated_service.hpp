@@ -14,13 +14,15 @@
 //                              │  complete *before* the batch; a
 //                              │  finished election seats the new
 //                              │  primary, hands off in-flight state,
-//                              │  and replays the headless buffer
+//                              │  and the cluster replays its headless
+//                              │  buffer
 //                              ▼
 //                            per-message dispatch
 //                              │  kControllerCrash/Repair: applied to
 //                              │  the cluster at dispatch time
 //                              │  reports/ops: term guard → primary,
-//                              │  or headless buffer
+//                              │  or deferred to the cluster's
+//                              │  headless buffer
 //                              ▼
 //                            acting primary's Controller
 //
@@ -39,11 +41,15 @@
 //     (stale_rejections) and buffered rather than applied by a dead
 //     primary.
 //   * Headless buffer — reports, sick probes and operator commands that
-//     arrive with no usable primary are buffered in admission order
-//     (this lifts ControlPlane's election buffer into the IngressQueue
-//     path). Healthy probe results are pure telemetry and are counted
-//     immediately. The buffer replays, in order, the moment a primary
-//     is seated (election win or a blip-repair of the stale primary).
+//     arrive with no usable primary are deferred, in admission order,
+//     to control::ControllerCluster's headless buffer (the same one
+//     control::ControlPlane uses). Healthy probe results are pure
+//     telemetry and are counted immediately. The cluster replays the
+//     buffer, in order, the moment a primary is usable again: after
+//     the election callback's handoff, or when a repair revives the
+//     stale primary. Its on_available hook closes the headless window
+//     and re-captures the lease first, so the recorder sees the
+//     failover/repair instant, the window close, then the replays.
 //   * Handoff — a newly elected primary adopts the dead primary's
 //     in-flight state (Controller::adopt_in_flight_from): parked
 //     recoveries, queued diagnoses, watchdog window. Reconfiguration
@@ -121,10 +127,11 @@ class ReplicatedControllerService : private detail::ReplicaBank,
   [[nodiscard]] std::size_t acting_member() const noexcept {
     return acting_;
   }
-  /// Reports/ops still waiting in the headless buffer (nonzero after a
-  /// drain only when the whole cluster died and nobody repaired it).
+  /// Reports/ops still waiting in the cluster's headless buffer
+  /// (nonzero after a drain only when the whole cluster died and nobody
+  /// repaired it).
   [[nodiscard]] std::size_t headless_backlog() const noexcept {
-    return buffer_.size();
+    return cluster_.backlog();
   }
   /// Failure-relevant messages observed by member `i` while it was
   /// alive (the fan-out a fresh primary's state is reconstructed from).
@@ -153,7 +160,6 @@ class ReplicatedControllerService : private detail::ReplicaBank,
   void apply_crash(const ServiceMessage& msg, Seconds at);
   void apply_repair(const ServiceMessage& msg, Seconds at);
   void dispatch_to_primary(const ServiceMessage& msg, Seconds start);
-  void replay_buffer(Seconds at);
   void open_headless_window(Seconds at);
   void close_headless_window(Seconds at);
   [[nodiscard]] bool lease_valid() const;
@@ -166,7 +172,6 @@ class ReplicatedControllerService : private detail::ReplicaBank,
   control::ControllerCluster cluster_;
   std::size_t acting_;
   std::optional<Lease> lease_;
-  std::vector<ServiceMessage> buffer_;
   std::vector<std::uint64_t> reports_seen_;
   /// Exactly-once guard: seq -> already dispatched to a controller.
   std::vector<bool> acted_;

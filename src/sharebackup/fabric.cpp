@@ -332,6 +332,29 @@ std::vector<DeviceUid> Fabric::spares(Layer layer, int grp) const {
   return group(layer, grp).spare;
 }
 
+std::vector<DeviceUid> Fabric::all_spares() const {
+  std::vector<DeviceUid> out;
+  for (const std::vector<Group>* groups :
+       {&edge_groups_, &agg_groups_, &core_groups_}) {
+    for (const Group& g : *groups) {
+      out.insert(out.end(), g.spare.begin(), g.spare.end());
+    }
+  }
+  return out;
+}
+
+std::vector<DeviceUid> Fabric::switch_devices() const {
+  std::vector<DeviceUid> out;
+  for (net::NodeId sw : ft_.all_switches()) {
+    auto pos = position_of_node(sw);
+    SBK_ASSERT(pos.has_value());
+    out.push_back(device_at(*pos));
+  }
+  const std::vector<DeviceUid> pooled = all_spares();
+  out.insert(out.end(), pooled.begin(), pooled.end());
+  return out;
+}
+
 std::optional<SwitchPosition> Fabric::position_of_device(
     DeviceUid uid) const {
   SBK_EXPECTS(uid < devices_.size());
@@ -408,6 +431,19 @@ void Fabric::set_interface_health(InterfaceRef iface, bool healthy) {
   } else if (it == uncabled_unhealthy_.end()) {
     uncabled_unhealthy_.push_back(key);
   }
+}
+
+bool Fabric::fail_link_at_interface(net::LinkId link, int bad_side) {
+  net::Network& net = network();
+  const net::Link& l = net.link(link);
+  if (net.link_failed(link) || net.node_failed(l.a) || net.node_failed(l.b)) {
+    return false;
+  }
+  auto pos = position_of_node(bad_side == 0 ? l.a : l.b);
+  SBK_ASSERT(pos.has_value());
+  set_interface_health({device_at(*pos), cs_of_link(link)}, false);
+  net.fail_link(link);
+  return true;
 }
 
 void Fabric::heal_device(DeviceUid uid) {

@@ -101,6 +101,13 @@ class Fabric {
   [[nodiscard]] const PhysicalDevice& device(DeviceUid uid) const;
   [[nodiscard]] DeviceState device_state(DeviceUid uid) const;
   [[nodiscard]] std::vector<DeviceUid> spares(Layer layer, int group) const;
+  /// Every pooled spare, by layer (edge, agg, core) then failure group.
+  [[nodiscard]] std::vector<DeviceUid> all_spares() const;
+  /// Every switch position's current device, in FatTree::all_switches()
+  /// order, followed by all_spares(). Failovers and repairs only permute
+  /// devices within this set, so taken before any failure it is the
+  /// closed switch-device universe a repair crew scans.
+  [[nodiscard]] std::vector<DeviceUid> switch_devices() const;
   [[nodiscard]] std::size_t switch_device_count() const noexcept {
     return switch_devices_;
   }
@@ -133,6 +140,11 @@ class Fabric {
   void set_interface_health(InterfaceRef iface, bool healthy);
   /// Heals every interface of a device (models repair).
   void heal_device(DeviceUid uid);
+  /// Fails packet-layer `link` and grounds the failure in a broken
+  /// interface on one side (bad_side 0 = link().a, 1 = link().b), so
+  /// offline diagnosis has a real culprit to find. Returns false and
+  /// changes nothing when the link or either endpoint is already down.
+  bool fail_link_at_interface(net::LinkId link, int bad_side);
   /// True iff every interface of the device is healthy. The controller
   /// verifies a replacement with this after reconfiguration: a spare can
   /// be dead-on-arrival, in which case the failover must cascade to the

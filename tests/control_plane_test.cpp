@@ -1,6 +1,7 @@
 // Tests for the assembled control plane: detection-to-recovery wiring,
-// background diagnosis scheduling, table mirroring, cluster gating, and
-// repeated-failure handling at one position (re-armed detectors).
+// background diagnosis scheduling, table mirroring, headless report
+// buffering in the cluster, and repeated-failure handling at one
+// position (re-armed detectors).
 #include <gtest/gtest.h>
 
 #include "control/control_plane.hpp"
@@ -66,8 +67,7 @@ TEST(ControlPlane, LinkFailureDiagnosedInBackground) {
   EXPECT_EQ(plane.controller().stats().switches_exonerated, 1u);
   EXPECT_EQ(fabric.spares(Layer::kAgg, 1).size(), 1u);
   // Tables mirrored throughout.
-  ASSERT_NE(plane.tables(), nullptr);
-  plane.tables()->check_mirrored(fabric);
+  plane.tables().check_mirrored(fabric);
 }
 
 TEST(ControlPlane, RepeatedFailuresAtSamePositionAreReDetected) {
@@ -92,46 +92,19 @@ TEST(ControlPlane, RepeatedFailuresAtSamePositionAreReDetected) {
   EXPECT_FALSE(fabric.network().node_failed(node));
 }
 
-TEST(ControlPlane, ReportsDroppedWhileClusterHasNoPrimary) {
-  // Historical drop behavior, now opt-in: with buffering disabled a
-  // report that arrives while the cluster is headless is lost.
-  Fabric fabric(fp(4, 1));
-  sim::EventQueue q;
-  ControlPlaneConfig cfg;
-  cfg.cluster_members = 2;
-  cfg.buffer_reports_during_election = false;
-  // Make elections slow so the outage window is wide.
-  cfg.cluster.election_duration = 0.050;
-  ControlPlane plane(fabric, q, cfg);
-  plane.start(0.5);
-
-  // Kill every controller, then a switch while headless.
-  q.schedule_at(0.01, [&] {
-    plane.cluster()->fail_member(0);
-    plane.cluster()->fail_member(1);
-  });
-  net::NodeId victim = fabric.fat_tree().core(0);
-  q.schedule_at(0.05, [&] { fabric.network().fail_node(victim); });
-  q.run();
-  EXPECT_GE(plane.reports_dropped(), 1u);
-  EXPECT_EQ(plane.reports_buffered(), 0u);
-  EXPECT_TRUE(fabric.network().node_failed(victim));  // nobody recovered it
-  EXPECT_EQ(plane.controller().stats().failovers, 0u);
-}
-
 TEST(ControlPlane, ReportsBufferedDuringElectionReplayToNewPrimary) {
-  // Default behavior: a report that lands in an election window is
-  // buffered and replayed once the new primary is elected.
+  // A report that lands in an election window is buffered and replayed
+  // once the new primary is elected.
   Fabric fabric(fp(4, 1));
   sim::EventQueue q;
   ControlPlaneConfig cfg;
-  cfg.cluster_members = 2;
+  cfg.cluster.members = 2;
   cfg.cluster.election_duration = 0.050;
   ControlPlane plane(fabric, q, cfg);
   plane.start(0.5);
 
   // Kill only the primary: member 0 stays alive and wins the election.
-  q.schedule_at(0.01, [&] { plane.cluster()->fail_member(1); });
+  q.schedule_at(0.01, [&] { plane.cluster().fail_member(1); });
   net::NodeId victim = fabric.fat_tree().core(0);
   Seconds recovered_at = -1.0;
   plane.on_recovery([&](const RecoveryOutcome& out, Seconds t) {
@@ -139,9 +112,9 @@ TEST(ControlPlane, ReportsBufferedDuringElectionReplayToNewPrimary) {
   });
   q.schedule_at(0.015, [&] { fabric.network().fail_node(victim); });
   q.run();
-  EXPECT_EQ(plane.reports_dropped(), 0u);
-  EXPECT_GE(plane.reports_buffered(), 1u);
-  EXPECT_GE(plane.reports_replayed(), 1u);
+  EXPECT_GE(plane.cluster().buffered(), 1u);
+  EXPECT_EQ(plane.cluster().replayed(), plane.cluster().buffered());
+  EXPECT_EQ(plane.cluster().backlog(), 0u);
   EXPECT_FALSE(fabric.network().node_failed(victim));
   EXPECT_EQ(plane.controller().stats().failovers, 1u);
   // Recovery happened at the election-completion timestamp, not before.
@@ -155,44 +128,67 @@ TEST(ControlPlane, TotalClusterDeathBuffersUntilMemberRepaired) {
   // buffered report — the failure recovers and available() is true.
   Fabric fabric(fp(4, 1));
   sim::EventQueue q;
-  ControlPlaneConfig cfg;
-  cfg.cluster_members = 3;
-  ControlPlane plane(fabric, q, cfg);
+  ControlPlane plane(fabric, q, ControlPlaneConfig{});
   plane.start(1.0);
 
   q.schedule_at(0.01, [&] {
-    plane.cluster()->fail_member(0);
-    plane.cluster()->fail_member(1);
-    plane.cluster()->fail_member(2);
+    plane.cluster().fail_member(0);
+    plane.cluster().fail_member(1);
+    plane.cluster().fail_member(2);
   });
   net::NodeId victim = fabric.fat_tree().core(1);
   q.schedule_at(0.05, [&] { fabric.network().fail_node(victim); });
-  q.schedule_at(0.30, [&] { plane.cluster()->repair_member(0); });
+  q.schedule_at(0.30, [&] { plane.cluster().repair_member(0); });
   q.run();
-  EXPECT_TRUE(plane.cluster()->available());
-  EXPECT_EQ(plane.cluster()->primary(), std::optional<std::size_t>(0));
-  EXPECT_EQ(plane.reports_dropped(), 0u);
-  EXPECT_GE(plane.reports_buffered(), 1u);
-  EXPECT_GE(plane.reports_replayed(), 1u);
+  EXPECT_TRUE(plane.cluster().available());
+  EXPECT_EQ(plane.cluster().primary(), std::optional<std::size_t>(0));
+  EXPECT_GE(plane.cluster().buffered(), 1u);
+  EXPECT_GE(plane.cluster().replayed(), 1u);
+  EXPECT_EQ(plane.cluster().backlog(), 0u);
   EXPECT_FALSE(fabric.network().node_failed(victim));
   EXPECT_EQ(plane.controller().stats().failovers, 1u);
 }
 
-TEST(ControlPlane, SingleControllerModeWorksWithoutCluster) {
+TEST(ControlPlane, PrimaryBlipRepairReplaysBufferedReport) {
+  // The primary dies and is repaired before its misses call an
+  // election, with a switch failure reported in between. No election
+  // fires, so the repair itself must replay the buffered report, or it
+  // stays buffered and the core switch stays failed.
   Fabric fabric(fp(4, 1));
   sim::EventQueue q;
-  ControlPlaneConfig cfg;
-  cfg.cluster_members = 0;
-  cfg.manage_tables = false;
-  ControlPlane plane(fabric, q, cfg);
-  EXPECT_EQ(plane.cluster(), nullptr);
-  EXPECT_EQ(plane.tables(), nullptr);
+  ControlPlane plane(fabric, q, ControlPlaneConfig{});
+  plane.start(0.2);
+
+  net::NodeId victim = fabric.fat_tree().core(1);
+  q.schedule_at(0.0101, [&] { plane.cluster().fail_member(2); });
+  q.schedule_at(0.0102, [&] { fabric.network().fail_node(victim); });
+  q.schedule_at(0.025, [&] {
+    EXPECT_FALSE(plane.cluster().election_in_progress());
+    plane.cluster().repair_member(2);
+  });
+  q.run();
+  EXPECT_EQ(plane.cluster().term(), 0u);  // no election happened
+  EXPECT_EQ(plane.cluster().buffered(), 1u);
+  EXPECT_EQ(plane.cluster().replayed(), 1u);
+  EXPECT_EQ(plane.cluster().backlog(), 0u);
+  EXPECT_FALSE(fabric.network().node_failed(victim));
+  EXPECT_EQ(plane.controller().stats().failovers, 1u);
+}
+
+TEST(ControlPlane, DefaultClusterRecoversAndMirrorsTables) {
+  Fabric fabric(fp(4, 1));
+  sim::EventQueue q;
+  ControlPlane plane(fabric, q, ControlPlaneConfig{});
+  EXPECT_EQ(plane.cluster().member_count(), ClusterConfig{}.members);
+  EXPECT_TRUE(plane.cluster().available());
   plane.start(0.1);
   net::NodeId victim = fabric.fat_tree().edge(0, 0);
   q.schedule_at(0.01, [&] { fabric.network().fail_node(victim); });
   q.run();
   EXPECT_FALSE(fabric.network().node_failed(victim));
   EXPECT_EQ(plane.controller().stats().failovers, 1u);
+  EXPECT_EQ(plane.cluster().buffered(), 0u);
+  plane.tables().check_mirrored(fabric);
 }
 
 }  // namespace

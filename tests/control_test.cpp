@@ -1026,6 +1026,109 @@ TEST(Cluster, RepairedMemberCanBeReelected) {
   EXPECT_EQ(cluster.primary(), std::optional<std::size_t>(1));
 }
 
+// Headless buffer: work deferred while no primary is usable replays in
+// arrival order at the next transition to available.
+
+TEST(Cluster, DeferredWorkReplaysInOrderAfterElectionCallback) {
+  sim::EventQueue q;
+  ClusterConfig cfg;
+  cfg.members = 3;
+  ControllerCluster cluster(q, cfg);
+  cluster.start(2.0);
+  std::vector<std::string> log;
+  Seconds seated_at = -1.0;
+  cluster.on_election([&](std::size_t p, std::size_t, Seconds at) {
+    log.push_back("elected " + std::to_string(p));
+    seated_at = at;
+  });
+  cluster.on_available([&](Seconds) { log.push_back("available"); });
+  std::vector<Seconds> replay_times;
+  q.schedule_at(0.5, [&] { cluster.fail_member(2); });
+  for (int i = 0; i < 3; ++i) {
+    q.schedule_at(0.51 + 0.001 * i, [&, i] {
+      ASSERT_FALSE(cluster.available());
+      cluster.defer([&, i](Seconds at) {
+        log.push_back("replay " + std::to_string(i));
+        replay_times.push_back(at);
+      });
+    });
+  }
+  q.run_until(0.52);
+  EXPECT_EQ(cluster.backlog(), 3u);
+  EXPECT_EQ(cluster.buffered(), 3u);
+  q.run();
+  const std::vector<std::string> expected = {
+      "elected 1", "available", "replay 0", "replay 1", "replay 2"};
+  EXPECT_EQ(log, expected);
+  for (Seconds at : replay_times) EXPECT_DOUBLE_EQ(at, seated_at);
+  EXPECT_EQ(cluster.backlog(), 0u);
+  EXPECT_EQ(cluster.replayed(), 3u);
+}
+
+TEST(Cluster, BlipRepairOfStalePrimaryReplaysWithoutElection) {
+  sim::EventQueue q;
+  ClusterConfig cfg;
+  cfg.members = 3;
+  ControllerCluster cluster(q, cfg);
+  cluster.start(2.0);
+  bool elected = false;
+  cluster.on_election([&](std::size_t, std::size_t, Seconds) {
+    elected = true;
+  });
+  std::vector<Seconds> available_at;
+  cluster.on_available([&](Seconds at) { available_at.push_back(at); });
+  Seconds replayed_at = -1.0;
+  q.schedule_at(0.5, [&] { cluster.fail_member(2); });
+  q.schedule_at(0.505, [&] {
+    cluster.defer([&](Seconds at) { replayed_at = at; });
+  });
+  // A follower repair does not make the cluster available.
+  q.schedule_at(0.507, [&] {
+    cluster.fail_member(0);
+    cluster.repair_member(0);
+    EXPECT_EQ(cluster.backlog(), 1u);
+  });
+  q.schedule_at(0.515, [&] { cluster.repair_member(2); });
+  q.run();
+  EXPECT_FALSE(elected);
+  EXPECT_EQ(cluster.term(), 0u);
+  ASSERT_EQ(available_at.size(), 1u);
+  EXPECT_DOUBLE_EQ(available_at[0], 0.515);
+  EXPECT_DOUBLE_EQ(replayed_at, 0.515);
+  EXPECT_EQ(cluster.backlog(), 0u);
+  EXPECT_EQ(cluster.replayed(), 1u);
+}
+
+TEST(Cluster, DeferRequiresAHeadlessCluster) {
+  sim::EventQueue q;
+  ControllerCluster cluster(q, ClusterConfig{});
+  EXPECT_TRUE(cluster.available());
+  EXPECT_THROW(cluster.defer([](Seconds) {}), ContractViolation);
+  EXPECT_EQ(cluster.buffered(), 0u);
+}
+
+TEST(Cluster, TotalDeathKeepsDeferredWorkUntilARepair) {
+  sim::EventQueue q;
+  ClusterConfig cfg;
+  cfg.members = 2;
+  ControllerCluster cluster(q, cfg);
+  cluster.start(2.0);
+  int replays = 0;
+  q.schedule_at(0.5, [&] {
+    cluster.fail_member(0);
+    cluster.fail_member(1);
+    cluster.defer([&](Seconds) { ++replays; });
+  });
+  q.run_until(1.0);
+  EXPECT_EQ(cluster.backlog(), 1u);
+  EXPECT_EQ(replays, 0);
+  q.schedule_at(1.0, [&] { cluster.repair_member(0); });
+  q.run();
+  EXPECT_TRUE(cluster.available());
+  EXPECT_EQ(replays, 1);
+  EXPECT_EQ(cluster.backlog(), 0u);
+}
+
 // --- recovery latency model ----------------------------------------------------
 
 TEST(RecoveryLatency, ShareBackupComparableToLocalRerouting) {

@@ -111,6 +111,9 @@ TEST(FaultPlan, ClusterScenariosProduceScriptedCrashSchedules) {
   EXPECT_GT(during.controller_crashes[1].at, during.controller_crashes[0].at);
   EXPECT_LT(during.controller_crashes[1].at,
             during.controller_crashes[0].at + cfg.cluster_election_bound);
+  // At the default repair delay both casualties come back together.
+  EXPECT_DOUBLE_EQ(during.controller_crashes[1].repair_at,
+                   during.controller_crashes[0].repair_at);
 
   cfg.cluster_scenario = ClusterScenario::kTotalDeath;
   FaultPlan death = FaultPlan::generate(fabric, cfg, 11);
@@ -120,6 +123,34 @@ TEST(FaultPlan, ClusterScenariosProduceScriptedCrashSchedules) {
     EXPECT_DOUBLE_EQ(ev.repair_at, death.controller_crashes[0].at +
                                        cfg.controller_repair_delay);
   }
+}
+
+TEST(FaultPlan, ShortRepairDelayNeverRepairsBeforeTheCrash) {
+  // A repair delay under the election bound puts the first repair
+  // before the second crash-during-election kill; no repair may precede
+  // its own crash (the event queue rejects scheduling into the past).
+  Fabric fabric(fp(4, 2));
+  FaultPlanConfig cfg;
+  cfg.controller_repair_delay = 0.02;
+  for (ClusterScenario scenario :
+       {ClusterScenario::kNone, ClusterScenario::kPrimaryCrash,
+        ClusterScenario::kCrashDuringElection,
+        ClusterScenario::kTotalDeath}) {
+    cfg.cluster_scenario = scenario;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const FaultPlan plan = FaultPlan::generate(fabric, cfg, seed);
+      for (const ControllerCrashEvent& ev : plan.controller_crashes) {
+        EXPECT_GE(ev.repair_at, ev.at);
+      }
+    }
+  }
+  cfg.cluster_scenario = ClusterScenario::kCrashDuringElection;
+  const FaultPlan during = FaultPlan::generate(fabric, cfg, 11);
+  ASSERT_EQ(during.controller_crashes.size(), 2u);
+  EXPECT_DOUBLE_EQ(during.controller_crashes[0].repair_at,
+                   during.controller_crashes[0].at + 0.02);
+  EXPECT_DOUBLE_EQ(during.controller_crashes[1].repair_at,
+                   during.controller_crashes[1].at + 0.02);
 }
 
 // --- report-stream edge cases -----------------------------------------------
@@ -312,7 +343,6 @@ TEST(ControlPlane, LostReportsAreResentAndRecover) {
   Fabric fabric(fp(4, 1));
   sim::EventQueue queue;
   control::ControlPlaneConfig cfg;
-  cfg.cluster_members = 0;  // single controller, isolate the report path
   cfg.diagnosis_delay = milliseconds(25);
   cfg.detector.report_retry_interval = milliseconds(5);
   control::ControlPlane plane(fabric, queue, cfg);
@@ -342,7 +372,6 @@ TEST(ControlPlane, DelayedReportStillRecovers) {
   Fabric fabric(fp(4, 1));
   sim::EventQueue queue;
   control::ControlPlaneConfig cfg;
-  cfg.cluster_members = 0;
   cfg.diagnosis_delay = milliseconds(25);
   control::ControlPlane plane(fabric, queue, cfg);
 
@@ -430,6 +459,24 @@ TEST(ChaosSoak, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.unreachable_global_reroute, b.unreachable_global_reroute);
     EXPECT_EQ(a.unreachable_spider, b.unreachable_spider);
     EXPECT_EQ(a.unreachable_backup_rules, b.unreachable_backup_rules);
+  }
+}
+
+TEST(ChaosSoak, ShortRepairDelayLeavesNoReportStuck) {
+  // A controller repair delay under the election bound revives the stale
+  // primary before any election fires. Reports buffered in that window
+  // must replay on the repair, or verify() flags them as stuck in the
+  // cluster's headless buffer.
+  for (ClusterScenario scenario :
+       {ClusterScenario::kPrimaryCrash, ClusterScenario::kCrashDuringElection,
+        ClusterScenario::kTotalDeath}) {
+    ChaosSoakConfig cfg = small_soak(8, 2);
+    cfg.plan.controller_repair_delay = 0.02;
+    cfg.plan.cluster_scenario = scenario;
+    ChaosSoakReport report = run_chaos_soak(cfg);
+    EXPECT_TRUE(report.clean())
+        << "scenario " << static_cast<int>(scenario) << "\n"
+        << report.summary();
   }
 }
 
