@@ -418,8 +418,9 @@ void BM_CombinedTableLookup(benchmark::State& state) {
 BENCHMARK(BM_CombinedTableLookup);
 
 void BM_ForwardingWalk(benchmark::State& state) {
-  routing::ImpersonationStore store(16, 1);
-  routing::ForwardingSim sim(store);
+  routing::ImpersonationStore tables(16);
+  const topo::FailureGroupPool pool = topo::make_fat_tree_pool(16, 1, 1, 1);
+  routing::ForwardingSim sim(tables, pool);
   int i = 0;
   for (auto _ : state) {
     auto t = sim.walk(routing::HostAddr{0, 0, i % 8},

@@ -17,6 +17,7 @@
 #include "routing/global_reroute.hpp"
 #include "sharebackup/fabric.hpp"
 #include "sim/fluid_sim.hpp"
+#include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "workload/coflow_gen.hpp"
 
@@ -24,14 +25,12 @@ using namespace sbk;
 
 namespace {
 
-long long parse_arg(int argc, char** argv, const std::string& key,
-                    long long fallback) {
-  std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return std::stoll(a.substr(prefix.size()));
+int usage(const std::string& error) {
+  if (!error.empty()) {
+    std::fprintf(stderr, "coflow_study: %s\n", error.c_str());
   }
-  return fallback;
+  std::fprintf(stderr, "usage: coflow_study [--coflows=N] [--k=N]\n");
+  return 2;
 }
 
 topo::FatTreeParams rack_tree(int k, topo::Wiring wiring) {
@@ -83,9 +82,16 @@ void report(const char* label, const StudyResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(parse_arg(argc, argv, "k", 8));
-  const auto coflows =
-      static_cast<std::size_t>(parse_arg(argc, argv, "coflows", 120));
+  const cli::ParseResult args = cli::parse_args(
+      argc, argv, {{"k", true}, {"coflows", true}}, /*max_positional=*/0);
+  if (!args.ok()) return usage(args.error);
+  const auto k_flag = args.int_or("k", 8);
+  const auto coflows_flag = args.int_or("coflows", 120);
+  if (!k_flag || !coflows_flag || *coflows_flag < 0) {
+    return usage("--k and --coflows want integers");
+  }
+  const int k = static_cast<int>(*k_flag);
+  const auto coflows = static_cast<std::size_t>(*coflows_flag);
   const Seconds fail_at = 30.0;
   const Seconds repair_at = fail_at + 300.0;  // 5-minute outage
 

@@ -8,18 +8,17 @@
 #include <string>
 
 #include "cost/cost_model.hpp"
+#include "util/cli.hpp"
 
 using namespace sbk::cost;
 
 namespace {
-long long parse_arg(int argc, char** argv, const std::string& key,
-                    long long fallback) {
-  std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return std::stoll(a.substr(prefix.size()));
+int usage(const std::string& error) {
+  if (!error.empty()) {
+    std::fprintf(stderr, "cost_explorer: %s\n", error.c_str());
   }
-  return fallback;
+  std::fprintf(stderr, "usage: cost_explorer [--k=N] [--n=N] [--ports=N]\n");
+  return 2;
 }
 
 void print_breakdown(const char* name, const CostBreakdown& c) {
@@ -30,9 +29,19 @@ void print_breakdown(const char* name, const CostBreakdown& c) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(parse_arg(argc, argv, "k", 48));
-  const int n = static_cast<int>(parse_arg(argc, argv, "n", 1));
-  const int ports = static_cast<int>(parse_arg(argc, argv, "ports", 32));
+  const sbk::cli::ParseResult args = sbk::cli::parse_args(
+      argc, argv, {{"k", true}, {"n", true}, {"ports", true}},
+      /*max_positional=*/0);
+  if (!args.ok()) return usage(args.error);
+  const auto k_flag = args.int_or("k", 48);
+  const auto n_flag = args.int_or("n", 1);
+  const auto ports_flag = args.int_or("ports", 32);
+  if (!k_flag || !n_flag || !ports_flag) {
+    return usage("--k, --n and --ports want integers");
+  }
+  const int k = static_cast<int>(*k_flag);
+  const int n = static_cast<int>(*n_flag);
+  const int ports = static_cast<int>(*ports_flag);
 
   std::printf("ShareBackup cost explorer: k=%d, n=%d  (%d hosts, backup "
               "ratio %.2f%%)\n\n",

@@ -134,22 +134,10 @@ int main(int argc, char** argv) {
     }
     k = *parsed;
   }
-  auto int_flag = [&args](const char* name, long long fallback)
-      -> std::optional<long long> {
-    const auto text = args.value_of(name);
-    if (!text) return fallback;
-    return sbk::cli::parse_int(*text);
-  };
-  auto double_flag = [&args](const char* name, double fallback)
-      -> std::optional<double> {
-    const auto text = args.value_of(name);
-    if (!text) return fallback;
-    return sbk::cli::parse_double(*text);
-  };
-  const auto storm_pods = int_flag("storm-pods", 12);
-  const auto per_pod = int_flag("per-pod", 32);
-  const auto max_rss_mb = double_flag("max-rss-mb", 0.0);   // 0 = no gate
-  const auto max_seconds = double_flag("max-seconds", 0.0); // 0 = no gate
+  const auto storm_pods = args.int_or("storm-pods", 12);
+  const auto per_pod = args.int_or("per-pod", 32);
+  const auto max_rss_mb = args.double_or("max-rss-mb", 0.0);   // 0 = no gate
+  const auto max_seconds = args.double_or("max-seconds", 0.0); // 0 = no gate
   if (!storm_pods || !per_pod || !max_rss_mb || !max_seconds) {
     return usage("flag values must be numeric");
   }

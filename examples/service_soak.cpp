@@ -310,31 +310,19 @@ int main(int argc, char** argv) {
       /*max_positional=*/0);
   if (!args.ok()) return usage(args.error);
 
-  auto int_flag = [&args](const char* name, long long fallback)
-      -> std::optional<long long> {
-    const auto text = args.value_of(name);
-    if (!text) return fallback;
-    return sbk::cli::parse_int(*text);
-  };
-  auto double_flag = [&args](const char* name, double fallback)
-      -> std::optional<double> {
-    const auto text = args.value_of(name);
-    if (!text) return fallback;
-    return sbk::cli::parse_double(*text);
-  };
-  const auto threads = int_flag("threads", 4);
-  const auto seed = int_flag("seed", 1);
-  const auto k = int_flag("k", 8);
-  const auto backups = int_flag("backups", 2);
-  const auto repeats = int_flag("repeats", 220);
-  const auto resends = int_flag("resends", 3);
-  const auto time_scale = double_flag("time-scale", 0.02);
-  const auto pace = double_flag("pace", 0.0);
-  const auto replicas = int_flag("replicas", 0);
-  const auto min_reports = int_flag("min-reports", 100000);
-  const auto min_throughput = double_flag("min-throughput", 0.0);
-  const auto max_p99_ms = double_flag("max-p99-ms", 0.0);
-  const auto max_rss_mb = double_flag("max-rss-mb", 0.0);
+  const auto threads = args.int_or("threads", 4);
+  const auto seed = args.int_or("seed", 1);
+  const auto k = args.int_or("k", 8);
+  const auto backups = args.int_or("backups", 2);
+  const auto repeats = args.int_or("repeats", 220);
+  const auto resends = args.int_or("resends", 3);
+  const auto time_scale = args.double_or("time-scale", 0.02);
+  const auto pace = args.double_or("pace", 0.0);
+  const auto replicas = args.int_or("replicas", 0);
+  const auto min_reports = args.int_or("min-reports", 100000);
+  const auto min_throughput = args.double_or("min-throughput", 0.0);
+  const auto max_p99_ms = args.double_or("max-p99-ms", 0.0);
+  const auto max_rss_mb = args.double_or("max-rss-mb", 0.0);
   if (!threads || !seed || !k || !backups || !repeats || !resends ||
       !time_scale || !pace || !replicas || !min_reports || !min_throughput ||
       !max_p99_ms || !max_rss_mb) {

@@ -7,12 +7,13 @@
 //   $ ./build/examples/trace_tool run  /tmp/trace.txt --k=8
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "routing/ecmp.hpp"
 #include "sim/fluid_sim.hpp"
 #include "topo/fat_tree.hpp"
+#include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "workload/coflow_gen.hpp"
 #include "workload/trace_io.hpp"
@@ -21,22 +22,29 @@ using namespace sbk;
 
 namespace {
 
-long long parse_arg(int argc, char** argv, const std::string& key,
-                    long long fallback) {
-  std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return std::stoll(a.substr(prefix.size()));
-  }
-  return fallback;
+int usage(const std::string& error) {
+  if (!error.empty()) std::fprintf(stderr, "trace_tool: %s\n", error.c_str());
+  std::fprintf(stderr,
+               "usage: trace_tool gen  <trace-file> [--racks=N] [--coflows=N]"
+               " [--duration=S] [--seed=N]\n"
+               "       trace_tool info <trace-file>\n"
+               "       trace_tool run  <trace-file> [--k=N]\n");
+  return 2;
 }
 
-int cmd_gen(const std::string& path, int argc, char** argv) {
+int cmd_gen(const std::string& path, const cli::ParseResult& args) {
+  const auto racks = args.int_or("racks", 32);
+  const auto coflows = args.int_or("coflows", 50);
+  const auto duration = args.int_or("duration", 60);
+  const auto seed = args.int_or("seed", 1);
+  if (!racks || !coflows || !duration || !seed || *coflows < 0) {
+    return usage("--racks, --coflows, --duration and --seed want integers");
+  }
   workload::CoflowWorkloadParams wp;
-  wp.racks = static_cast<int>(parse_arg(argc, argv, "racks", 32));
-  wp.coflows = static_cast<std::size_t>(parse_arg(argc, argv, "coflows", 50));
-  wp.duration = static_cast<double>(parse_arg(argc, argv, "duration", 60));
-  Rng rng(static_cast<std::uint64_t>(parse_arg(argc, argv, "seed", 1)));
+  wp.racks = static_cast<int>(*racks);
+  wp.coflows = static_cast<std::size_t>(*coflows);
+  wp.duration = static_cast<double>(*duration);
+  Rng rng(static_cast<std::uint64_t>(*seed));
   auto trace = workload::generate_coflows(wp, rng);
   workload::save_trace(path, wp.racks, trace);
   std::printf("wrote %zu coflows over %d racks to %s\n", trace.size(),
@@ -66,9 +74,11 @@ int cmd_info(const std::string& path) {
   return 0;
 }
 
-int cmd_run(const std::string& path, int argc, char** argv) {
+int cmd_run(const std::string& path, const cli::ParseResult& args) {
+  const auto k_flag = args.int_or("k", 8);
+  if (!k_flag) return usage("--k wants an integer");
+  const int k = static_cast<int>(*k_flag);
   workload::ParsedTrace parsed = workload::load_trace(path);
-  const int k = static_cast<int>(parse_arg(argc, argv, "k", 8));
   topo::FatTreeParams ftp{.k = k};
   ftp.hosts_per_edge = 1;
   ftp.host_link_capacity = 10.0 * (k / 2);
@@ -109,23 +119,28 @@ int cmd_run(const std::string& path, int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: %s gen|info|run <trace-file> [--racks= --coflows= "
-                 "--duration= --seed= --k=]\n",
-                 argv[0]);
-    return 2;
+  const std::string cmd = argc > 1 ? argv[1] : "";
+  std::vector<cli::FlagSpec> specs;
+  if (cmd == "gen") {
+    specs = {{"racks", true}, {"coflows", true}, {"duration", true},
+             {"seed", true}};
+  } else if (cmd == "run") {
+    specs = {{"k", true}};
+  } else if (cmd != "info") {
+    return usage(cmd.empty() ? "" : "unknown command '" + cmd + "'");
   }
-  std::string cmd = argv[1];
-  std::string path = argv[2];
+  // argv[1] is the command; the trace file is the one positional after it.
+  const cli::ParseResult args =
+      cli::parse_args(argc - 1, argv + 1, specs, /*max_positional=*/1);
+  if (!args.ok()) return usage(args.error);
+  if (args.positional.empty()) return usage("missing <trace-file>");
+  const std::string& path = args.positional[0];
   try {
-    if (cmd == "gen") return cmd_gen(path, argc, argv);
+    if (cmd == "gen") return cmd_gen(path, args);
     if (cmd == "info") return cmd_info(path);
-    if (cmd == "run") return cmd_run(path, argc, argv);
+    return cmd_run(path, args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-  return 2;
 }

@@ -14,12 +14,14 @@
 #   --asan         Configure an ASan+UBSan build
 #                  (-DSBK_SANITIZE=address,undefined, default dir
 #                  build-asan) and run the fault-injection,
-#                  control-plane, controller-cluster (Cluster.*) and
-#                  service suites under it — the chaos paths exercise
-#                  the allocation-heavy recovery machinery that ASan
-#                  watches best, and the cluster's headless buffer
-#                  stores deferred actions that capture both controller
-#                  drivers.
+#                  control-plane, controller-cluster (Cluster.*),
+#                  service, fabric, leaf-spine and two-level-routing
+#                  suites under it — the chaos paths exercise the
+#                  allocation-heavy recovery machinery that ASan watches
+#                  best, the cluster's headless buffer stores deferred
+#                  actions that capture both controller drivers, and both
+#                  fabrics and the §4.3 table walker share one failure-
+#                  group pool and its group-index arithmetic.
 #   --bench-smoke  Build the Release tree (default dir build-bench) and run
 #                  micro_perf for a handful of iterations per benchmark —
 #                  a fast "do the benchmarks still run" check, not a
@@ -404,12 +406,16 @@ if [ "$ASAN" = 1 ]; then
   BUILD="${1:-build-asan}"
   cmake -B "$BUILD" -G Ninja -DSBK_SANITIZE=address,undefined
   cmake --build "$BUILD" --target faultinject_test control_plane_test \
-    control_test service_test
+    control_test service_test fabric_test leaf_spine_test two_level_test
   "$BUILD"/tests/faultinject_test
   "$BUILD"/tests/control_plane_test
   "$BUILD"/tests/control_test --gtest_filter='Cluster.*'
   "$BUILD"/tests/service_test
-  echo "asan: faultinject_test + control_plane_test + Cluster.* + service_test clean"
+  "$BUILD"/tests/fabric_test
+  "$BUILD"/tests/leaf_spine_test
+  "$BUILD"/tests/two_level_test
+  echo "asan: faultinject_test + control_plane_test + Cluster.* + service_test" \
+    "+ fabric_test + leaf_spine_test + two_level_test clean"
   exit 0
 fi
 

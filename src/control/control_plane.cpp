@@ -9,9 +9,7 @@ ControlPlane::ControlPlane(sharebackup::Fabric& fabric,
     : fabric_(&fabric), queue_(&queue), config_(config),
       controller_(fabric, config.controller),
       detector_(queue, fabric.network(), config.detector),
-      cluster_(queue, config.cluster), tables_(fabric) {
-  controller_.attach_table_manager(&tables_);
-
+      cluster_(queue, config.cluster) {
   controller_.set_retry_listener(
       [this](const RecoveryOutcome& out, std::optional<net::NodeId> node,
              std::optional<net::LinkId> link) {

@@ -1,6 +1,7 @@
 // The assembled ShareBackup control plane: failure detector + controller
-// + routing-table mirror + controller cluster, wired over one
-// discrete-event queue. This is the component a deployment would run;
+// + controller cluster, wired over one discrete-event queue. The §4.3
+// preloaded tables need no mirror: a routing::ForwardingSim reads the
+// fabric's own failure-group pool. This is the component a deployment would run;
 // the pieces remain independently usable and tested.
 //
 // Event flow (all on the shared EventQueue):
@@ -28,7 +29,6 @@
 #include "control/controller.hpp"
 #include "control/controller_cluster.hpp"
 #include "control/failure_detector.hpp"
-#include "control/table_manager.hpp"
 #include "sim/event_queue.hpp"
 
 namespace sbk::control {
@@ -63,11 +63,6 @@ class ControlPlane {
   [[nodiscard]] const ControllerCluster& cluster() const noexcept {
     return cluster_;
   }
-  /// Failovers mirrored into the §4.3 impersonation tables.
-  [[nodiscard]] const TableManager& tables() const noexcept {
-    return tables_;
-  }
-
   /// Reports lost on the control channel by the fault hook.
   [[nodiscard]] std::size_t reports_lost() const noexcept {
     return reports_lost_;
@@ -132,7 +127,6 @@ class ControlPlane {
   Controller controller_;
   FailureDetector detector_;
   ControllerCluster cluster_;
-  TableManager tables_;
   RecoveryObserver observer_;
   ReportFaultHook report_fault_;
   obs::FlightRecorder* recorder_ = nullptr;

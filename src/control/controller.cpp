@@ -59,12 +59,10 @@ std::size_t Controller::trace_recovery(const std::string& element,
   Seconds reconfigured =
       commanded + sharebackup::reconfiguration_latency(fabric_->technology());
   tracer_->add_span(inc, "reconfiguration", commanded, reconfigured);
-  if (tables_ != nullptr) {
-    // Backup tables are preloaded (§4.3); activation is a profile change
-    // that completes with the circuit reset — a point event on the
-    // timeline.
-    tracer_->add_span(inc, "table_activation", reconfigured, reconfigured);
-  }
+  // Backup tables are preloaded (§4.3); activation is a profile change
+  // that completes with the circuit reset — a point event on the
+  // timeline.
+  tracer_->add_span(inc, "table_activation", reconfigured, reconfigured);
   tracer_->close_incident(inc, reconfigured);
   return inc;
 }
@@ -165,7 +163,6 @@ void Controller::account_command(const CommandOutcome& co,
   for (const Fabric::FailoverReport& rep : co.doa_cascade) {
     ++stats_.failovers;
     if (m_failovers_) m_failovers_->add();
-    mirror_failover(rep);
     outcome.failovers.push_back(rep);
   }
 }
@@ -192,15 +189,6 @@ void Controller::degrade(RecoveryOutcome& outcome, const std::string& element,
     tracer_->add_span(inc, "degraded_reroute", now_,
                       now_ + outcome.degraded_latency);
   }
-}
-
-void Controller::mirror_failover(
-    const sharebackup::Fabric::FailoverReport& report) {
-  if (tables_ != nullptr) tables_->on_fail_over(report);
-}
-
-void Controller::mirror_return(DeviceUid dev) {
-  if (tables_ != nullptr) tables_->on_return_to_pool(dev);
 }
 
 void Controller::audit(std::string event, std::string detail) {
@@ -360,7 +348,6 @@ RecoveryOutcome Controller::on_switch_failure(SwitchPosition pos) {
   const Fabric::FailoverReport& report = *co.report;
   ++stats_.failovers;
   if (m_failovers_) m_failovers_->add();
-  mirror_failover(report);
   audit("failover", fabric_->device(report.failed_device).name + " -> " +
                         fabric_->device(report.replacement).name);
   outcome.recovered = true;
@@ -477,7 +464,6 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
       std::size_t applied = 0;
       for (const CommandOutcome* c : {&ca, &cb}) {
         if (!c->report.has_value()) continue;
-        mirror_failover(*c->report);
         outcome.failovers.push_back(*c->report);
         ++applied;
       }
@@ -491,8 +477,6 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
     }
     stats_.failovers += 2;
     if (m_failovers_) m_failovers_->add(2);
-    mirror_failover(*ca.report);
-    mirror_failover(*cb.report);
     audit("link-failover",
           fabric_->device(ca.report->failed_device).name + " & " +
               fabric_->device(cb.report->failed_device).name + " replaced");
@@ -542,7 +526,6 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
   const Fabric::FailoverReport& report = *ch.report;
   ++stats_.failovers;
   if (m_failovers_) m_failovers_->add();
-  mirror_failover(report);
   outcome.failovers.push_back(report);
 
   // Re-test the link with the fresh switch: if the host side is at
@@ -567,7 +550,6 @@ RecoveryOutcome Controller::on_link_failure(net::LinkId link) {
     // Failure persists: the switch was not the problem. Redress it and
     // flag the host for troubleshooting (§4.2).
     fabric_->return_to_pool(old_dev);
-    mirror_return(old_dev);
     ++stats_.switches_exonerated;
     audit("host-flagged",
           fabric_->network().node(host).name + " (switch redressed)");
@@ -606,7 +588,6 @@ std::size_t Controller::run_pending_diagnosis(Seconds queued_before) {
       if (v.device == sharebackup::kNoDeviceUid) return;
       if (v.healthy) {
         fabric_->return_to_pool(v.device);
-        mirror_return(v.device);
         ++stats_.switches_exonerated;
         audit("diagnosis", fabric_->device(v.device).name + " exonerated");
         if (tracer_ != nullptr &&
@@ -652,7 +633,6 @@ void Controller::on_device_repaired(DeviceUid dev) {
   SBK_EXPECTS(fabric_->device_state(dev) == DeviceState::kOut);
   fabric_->heal_device(dev);
   fabric_->return_to_pool(dev);
-  mirror_return(dev);
   audit("repair", fabric_->device(dev).name + " healed, back in pool");
   if (auto it = incident_of_faulty_.find(dev);
       it != incident_of_faulty_.end()) {

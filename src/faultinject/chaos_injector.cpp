@@ -43,19 +43,14 @@ void ChaosInjector::arm() {
     const auto& ports = fabric_->ports_of_device(uid);
     if (ports.empty()) continue;
     fabric_->set_interface_health({uid, ports.front().cs}, false);
-    ++stats_.doa_interfaces_broken;
   }
 
   // Control-channel fault hooks (quiet once the fault window closes).
   plane_->set_report_fault_hook(
       [this, cfg](bool, std::uint64_t, Seconds) -> std::optional<Seconds> {
         if (!faults_active()) return 0.0;
-        if (report_rng_.bernoulli(cfg.report_loss_prob)) {
-          ++stats_.reports_lost;
-          return std::nullopt;
-        }
+        if (report_rng_.bernoulli(cfg.report_loss_prob)) return std::nullopt;
         if (report_rng_.bernoulli(cfg.report_delay_prob)) {
-          ++stats_.reports_delayed;
           return report_rng_.uniform_real(1e-5, cfg.report_delay_max);
         }
         return 0.0;
@@ -64,17 +59,12 @@ void ChaosInjector::arm() {
       [this, cfg](sharebackup::SwitchPosition, int) -> control::CommandStatus {
         if (!faults_active()) return control::CommandStatus::kAck;
         double u = command_rng_.uniform_real(0.0, 1.0);
-        if (u < cfg.command_nack_prob) {
-          ++stats_.commands_perturbed;
-          return control::CommandStatus::kNack;
-        }
+        if (u < cfg.command_nack_prob) return control::CommandStatus::kNack;
         if (u < cfg.command_nack_prob + cfg.command_timeout_lost_prob) {
-          ++stats_.commands_perturbed;
           return control::CommandStatus::kTimeoutLost;
         }
         if (u < cfg.command_nack_prob + cfg.command_timeout_lost_prob +
                     cfg.command_timeout_applied_prob) {
-          ++stats_.commands_perturbed;
           return control::CommandStatus::kTimeoutApplied;
         }
         return control::CommandStatus::kAck;
@@ -107,20 +97,16 @@ void ChaosInjector::arm() {
 }
 
 void ChaosInjector::inject_switch_failure(const SwitchFailureEvent& ev) {
-  if (fabric_->network().node_failed(ev.node)) {
-    ++stats_.injections_skipped;  // still down from an earlier event
-    return;
-  }
+  // Skipped while still down from an earlier event.
+  if (fabric_->network().node_failed(ev.node)) return;
   fabric_->network().fail_node(ev.node);
   record_node(ev.node);
   ++stats_.switch_failures_injected;
 }
 
 void ChaosInjector::inject_link_failure(const LinkFailureEvent& ev) {
-  if (!fabric_->fail_link_at_interface(ev.link, ev.bad_side)) {
-    ++stats_.injections_skipped;  // link or an endpoint already down
-    return;
-  }
+  // Skipped while the link or an endpoint is already down.
+  if (!fabric_->fail_link_at_interface(ev.link, ev.bad_side)) return;
   record_link(ev.link);
   ++stats_.link_failures_injected;
 }
@@ -133,7 +119,6 @@ void ChaosInjector::crash_controller(const ControllerCrashEvent& ev) {
       ev.member % cluster.member_count());
   if (!cluster.member_alive(m)) return;
   cluster.fail_member(m);
-  ++stats_.controller_crashes;
   queue_->schedule_at(ev.repair_at, [this, m] {
     control::ControllerCluster& c = plane_->cluster();
     if (!c.member_alive(m)) c.repair_member(m);
@@ -146,7 +131,6 @@ void ChaosInjector::repair_tick() {
   for (DeviceUid uid : switch_devices_) {
     if (fabric_->device_state(uid) != DeviceState::kOut) continue;
     controller.on_device_repaired(uid);
-    ++stats_.devices_repaired;
   }
 }
 
@@ -155,7 +139,6 @@ void ChaosInjector::operator_tick() {
   if (!controller.human_intervention_required()) return;
   controller.set_time(queue_->now());
   controller.acknowledge_intervention();
-  ++stats_.watchdog_services;
 }
 
 void ChaosInjector::final_sweep() {
@@ -163,7 +146,6 @@ void ChaosInjector::final_sweep() {
   controller.set_time(queue_->now());
   if (controller.human_intervention_required()) {
     controller.acknowledge_intervention();
-    ++stats_.watchdog_services;
   } else {
     controller.retry_parked();
   }

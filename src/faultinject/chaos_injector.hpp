@@ -45,19 +45,12 @@ class ChaosInjector {
   /// armed for the whole horizon).
   void arm();
 
-  /// What the injector actually did (plans can be partially skipped when
-  /// a victim is already failed at its scheduled time).
+  /// Failures the injector actually injected (plans can be partially
+  /// skipped when a victim is already failed at its scheduled time).
+  /// Lost reports are counted once, by ControlPlane::reports_lost().
   struct Stats {
     std::size_t switch_failures_injected = 0;
     std::size_t link_failures_injected = 0;
-    std::size_t injections_skipped = 0;
-    std::size_t doa_interfaces_broken = 0;
-    std::size_t reports_lost = 0;
-    std::size_t reports_delayed = 0;
-    std::size_t commands_perturbed = 0;
-    std::size_t controller_crashes = 0;
-    std::size_t devices_repaired = 0;
-    std::size_t watchdog_services = 0;
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 

@@ -1,135 +1,36 @@
 #include "routing/impersonation.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace sbk::routing {
 
-ImpersonationStore::ImpersonationStore(int k, int n_backups)
-    : k_(k), n_(n_backups) {
+ImpersonationStore::ImpersonationStore(int k) : k_(k) {
   SBK_EXPECTS_MSG(k >= 4 && k % 2 == 0, "k must be even and >= 4");
-  SBK_EXPECTS(n_backups >= 0);
-  const int half = k / 2;
   TwoLevelTableBuilder builder(k);
-
-  DeviceUid next = 0;
-  auto make_group = [&](TwoLevelTable table, Layer layer,
-                        int group_id) -> Group {
-    Group g;
-    g.table = std::move(table);
-    for (int s = 0; s < half; ++s) {
-      g.assigned.push_back(next);
-      device_layer_.push_back(layer);
-      device_group_.push_back(group_id);
-      ++next;
-    }
-    for (int s = 0; s < n_; ++s) {
-      g.spare.push_back(next);
-      device_layer_.push_back(layer);
-      device_group_.push_back(group_id);
-      ++next;
-    }
-    return g;
-  };
-
   for (int pod = 0; pod < k; ++pod) {
-    edge_groups_.push_back(
-        make_group(builder.combined_edge_table(pod), Layer::kEdge, pod));
+    tables_.push_back(builder.combined_edge_table(pod));
   }
-  for (int pod = 0; pod < k; ++pod) {
-    agg_groups_.push_back(
-        make_group(builder.agg_table(pod), Layer::kAgg, pod));
-  }
-  for (int u = 0; u < half; ++u) {
-    core_groups_.push_back(
-        make_group(builder.core_table(), Layer::kCore, u));
-  }
+  for (int pod = 0; pod < k; ++pod) tables_.push_back(builder.agg_table(pod));
+  for (int u = 0; u < k / 2; ++u) tables_.push_back(builder.core_table());
 }
 
-int ImpersonationStore::group_of(SwitchPosition pos) const {
-  return topo::failure_group_of(k_, pos);
+const TwoLevelTable& ImpersonationStore::group_table(int group_index) const {
+  SBK_EXPECTS(group_index >= 0 &&
+              static_cast<std::size_t>(group_index) < tables_.size());
+  return tables_[static_cast<std::size_t>(group_index)];
 }
 
-int ImpersonationStore::group_count(Layer layer) const {
-  return topo::failure_group_count(k_, layer);
-}
-
-int ImpersonationStore::position_slot(SwitchPosition pos) const {
-  return topo::group_slot_of(k_, pos);
-}
-
-ImpersonationStore::Group& ImpersonationStore::group(Layer layer, int id) {
-  switch (layer) {
-    case Layer::kEdge:
-      SBK_EXPECTS(id >= 0 && static_cast<std::size_t>(id) < edge_groups_.size());
-      return edge_groups_[static_cast<std::size_t>(id)];
-    case Layer::kAgg:
-      SBK_EXPECTS(id >= 0 && static_cast<std::size_t>(id) < agg_groups_.size());
-      return agg_groups_[static_cast<std::size_t>(id)];
-    case Layer::kCore:
-      SBK_EXPECTS(id >= 0 && static_cast<std::size_t>(id) < core_groups_.size());
-      return core_groups_[static_cast<std::size_t>(id)];
-  }
-  SBK_UNREACHABLE("bad layer");
-}
-
-const ImpersonationStore::Group& ImpersonationStore::group(Layer layer,
-                                                           int id) const {
-  return const_cast<ImpersonationStore*>(this)->group(layer, id);
-}
-
-DeviceUid ImpersonationStore::device_at(SwitchPosition pos) const {
-  const Group& g = group(pos.layer, group_of(pos));
-  return g.assigned[static_cast<std::size_t>(position_slot(pos))];
-}
-
-std::vector<DeviceUid> ImpersonationStore::spares(Layer layer,
-                                                  int grp) const {
-  return group(layer, grp).spare;
-}
-
-std::optional<ImpersonationStore::Failover> ImpersonationStore::fail_over(
-    SwitchPosition pos) {
-  Group& g = group(pos.layer, group_of(pos));
-  if (g.spare.empty()) return std::nullopt;
-  std::size_t slot = static_cast<std::size_t>(position_slot(pos));
-  DeviceUid failed = g.assigned[slot];
-  DeviceUid replacement = g.spare.front();
-  g.spare.erase(g.spare.begin());
-  g.assigned[slot] = replacement;
-  g.out.push_back(failed);
-  return Failover{failed, replacement};
-}
-
-void ImpersonationStore::return_to_pool(DeviceUid dev) {
-  SBK_EXPECTS(dev < device_layer_.size());
-  Group& g = group(device_layer_[dev], device_group_[dev]);
-  // Idempotent, mirroring Fabric::return_to_pool: a duplicated control
-  // command for an already-returned device is a no-op.
-  if (std::find(g.spare.begin(), g.spare.end(), dev) != g.spare.end()) {
-    return;
-  }
-  auto it = std::find(g.out.begin(), g.out.end(), dev);
-  SBK_EXPECTS_MSG(it != g.out.end(),
-                  "device must be out of service to return to the pool");
-  g.out.erase(it);
-  g.spare.push_back(dev);
-}
-
-const TwoLevelTable& ImpersonationStore::table_of(DeviceUid dev) const {
-  SBK_EXPECTS(dev < device_layer_.size());
-  return group(device_layer_[dev], device_group_[dev]).table;
-}
-
-Layer ImpersonationStore::layer_of(DeviceUid dev) const {
-  SBK_EXPECTS(dev < device_layer_.size());
-  return device_layer_[dev];
+ForwardingSim::ForwardingSim(const ImpersonationStore& tables,
+                             const topo::FailureGroupPool& pool)
+    : tables_(&tables), pool_(&pool) {
+  const int k = tables.k();
+  SBK_EXPECTS_MSG(pool.group_count() == 2 * k + k / 2 &&
+                      pool.slot_count(0) == k / 2,
+                  "pool must be a fat-tree pool of the store's k");
 }
 
 ForwardingTrace ForwardingSim::walk(HostAddr src, HostAddr dst) const {
-  const ImpersonationStore& store = *store_;
-  const int k = store.k();
+  const int k = tables_->k();
   const int half = k / 2;
   ForwardingTrace trace;
 
@@ -145,10 +46,11 @@ ForwardingTrace ForwardingSim::walk(HostAddr src, HostAddr dst) const {
   bool from_host_side = true;
 
   while (trace.positions.size() < kMaxHops) {
-    DeviceUid dev = store.device_at(pos);
+    DeviceUid dev = pool_->device_at(topo::failure_group_index(k, pos),
+                                     topo::group_slot_of(k, pos));
     trace.positions.push_back(pos);
     trace.devices.push_back(dev);
-    const TwoLevelTable& table = store.table_of(dev);
+    const TwoLevelTable& table = tables_->table_of(*pool_, dev);
 
     std::optional<int> port;
     switch (pos.layer) {

@@ -10,89 +10,47 @@
 //     aggregation table.
 //   * Core failure group: the common core table.
 //
-// This module tracks which physical device currently serves each logical
-// switch position, hands out the preloaded table of any device, and — via
-// ForwardingSim — walks packets through logical positions consulting the
-// table of the device *currently* at each position. Tests verify that
-// forwarding is invariant under arbitrary sequences of failovers.
+// The store holds one preloaded table per failure group. Which device
+// serves each position lives in a topo::FailureGroupPool — standalone in
+// tests, or the fabric's own pool (sharebackup::Fabric::pool()) under a
+// controller — and ForwardingSim walks packets through logical
+// positions consulting the table of the device *currently* at each
+// position. Tests verify that forwarding is invariant under arbitrary
+// sequences of failovers.
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "routing/two_level.hpp"
+#include "topo/failure_group_pool.hpp"
 #include "topo/position.hpp"
 
 namespace sbk::routing {
 
+using topo::DeviceUid;
 using topo::Layer;
 using topo::SwitchPosition;
 
-/// Opaque physical device handle (unique across the fabric).
-using DeviceUid = std::uint32_t;
-inline constexpr DeviceUid kNoDevice = static_cast<DeviceUid>(-1);
-
-/// Tracks device<->position assignment and preloaded tables for every
-/// failure group of a k-ary fat-tree with n backups per group.
+/// The §4.3 preloaded tables of every failure group of a k-ary fat-tree,
+/// by dense group index (topo::failure_group_index order).
 class ImpersonationStore {
  public:
-  ImpersonationStore(int k, int n_backups);
+  explicit ImpersonationStore(int k);
 
   [[nodiscard]] int k() const noexcept { return k_; }
-  [[nodiscard]] int backups_per_group() const noexcept { return n_; }
 
-  /// Failure groups: per pod one edge group and one agg group; core
-  /// groups by core index mod k/2. Group key below is (layer, group_id).
-  [[nodiscard]] int group_of(SwitchPosition pos) const;
-  [[nodiscard]] int group_count(Layer layer) const;
-
-  /// Device currently serving a position.
-  [[nodiscard]] DeviceUid device_at(SwitchPosition pos) const;
-  /// Idle spare devices of a group (initially the n backups).
-  [[nodiscard]] std::vector<DeviceUid> spares(Layer layer, int group) const;
-
-  /// Replaces the device at `pos` with an idle spare of its group.
-  /// Returns {failed_device, new_device} or nullopt if the group's pool
-  /// is exhausted. The failed device leaves service (not a spare).
-  struct Failover {
-    DeviceUid failed;
-    DeviceUid replacement;
-  };
-  [[nodiscard]] std::optional<Failover> fail_over(SwitchPosition pos);
-
-  /// Returns a previously failed-over (or exonerated) device to its
-  /// group's spare pool — the paper's "repaired switches become backups".
-  void return_to_pool(DeviceUid dev);
-
-  /// Preloaded routing table of a device (the group-wide table described
-  /// above). Identical for all devices of one group by construction.
-  [[nodiscard]] const TwoLevelTable& table_of(DeviceUid dev) const;
-
-  [[nodiscard]] Layer layer_of(DeviceUid dev) const;
-  [[nodiscard]] std::size_t device_count() const noexcept {
-    return device_layer_.size();
+  /// Preloaded table of one failure group (dense index).
+  [[nodiscard]] const TwoLevelTable& group_table(int group_index) const;
+  /// Preloaded table of the device `pool` holds as `dev`: every device of
+  /// a group, backups included, holds the same group-wide table.
+  [[nodiscard]] const TwoLevelTable& table_of(
+      const topo::FailureGroupPool& pool, DeviceUid dev) const {
+    return group_table(pool.group_of(dev));
   }
 
  private:
-  struct Group {
-    std::vector<DeviceUid> assigned;  ///< by position-in-group index
-    std::vector<DeviceUid> spare;
-    std::vector<DeviceUid> out;       ///< failed, awaiting repair
-    TwoLevelTable table;
-  };
-
-  [[nodiscard]] Group& group(Layer layer, int id);
-  [[nodiscard]] const Group& group(Layer layer, int id) const;
-  [[nodiscard]] int position_slot(SwitchPosition pos) const;
-
   int k_;
-  int n_;
-  std::vector<Group> edge_groups_;  // by pod
-  std::vector<Group> agg_groups_;   // by pod
-  std::vector<Group> core_groups_;  // by core index mod k/2
-  std::vector<Layer> device_layer_;
-  std::vector<int> device_group_;
+  std::vector<TwoLevelTable> tables_;
 };
 
 /// Result of walking one packet through the fabric.
@@ -113,14 +71,18 @@ struct ForwardingTrace {
 /// a*k/2..a*k/2+k/2-1; core row r <-> agg r of every pod).
 class ForwardingSim {
  public:
-  explicit ForwardingSim(const ImpersonationStore& store) : store_(&store) {}
+  /// `pool` must be a fat-tree pool of the store's k (make_fat_tree_pool
+  /// or Fabric::pool()); both must outlive the walker.
+  ForwardingSim(const ImpersonationStore& tables,
+                const topo::FailureGroupPool& pool);
 
   /// Walks a packet from src to dst. Hosts tag packets with their edge
   /// position's VLAN (the position index, not the device).
   [[nodiscard]] ForwardingTrace walk(HostAddr src, HostAddr dst) const;
 
  private:
-  const ImpersonationStore* store_;
+  const ImpersonationStore* tables_;
+  const topo::FailureGroupPool* pool_;
 };
 
 }  // namespace sbk::routing

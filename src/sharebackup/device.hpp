@@ -1,16 +1,19 @@
-// Physical device identities shared by the ShareBackup fabrics (fat-tree
-// and leaf-spine): uid handles and lifecycle states.
+// Physical devices of the ShareBackup fabrics (fat-tree and leaf-spine).
+// Uids and lifecycle states belong to topo::FailureGroupPool, the one
+// spare-pool type every fabric and the §4.3 table walker share; the
+// aliases here keep the sharebackup:: spellings.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
+#include "topo/failure_group_pool.hpp"
 #include "topo/position.hpp"
 
 namespace sbk::sharebackup {
 
-using DeviceUid = std::uint32_t;
-inline constexpr DeviceUid kNoDeviceUid = static_cast<DeviceUid>(-1);
+using topo::DeviceState;
+using topo::DeviceUid;
+using topo::kNoDeviceUid;
 
 /// A physical box: a packet switch (possibly a backup) or a host.
 struct PhysicalDevice {
@@ -19,13 +22,6 @@ struct PhysicalDevice {
   topo::Layer layer = topo::Layer::kEdge;  ///< meaningless for hosts
   int group = -1;                          ///< failure group id; -1 for hosts
   std::string name;
-};
-
-/// Where a physical device currently stands.
-enum class DeviceState : std::uint8_t {
-  kInService,  ///< serving a position
-  kSpare,      ///< idle backup, available for failover
-  kOut,        ///< failed / taken offline, awaiting repair or exoneration
 };
 
 }  // namespace sbk::sharebackup

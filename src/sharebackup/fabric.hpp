@@ -22,6 +22,9 @@
 //                             pod serving the cores ≡ m (mod k/2).
 //   * Interface health is ground truth for fault injection and offline
 //     diagnosis: an interface is the (device, circuit switch) cable end.
+//   * Failure groups, spares and circuit re-pointing come from
+//     CircuitFabric; the pool's groups are in topo::failure_group_index
+//     order (edge pods, agg pods, core groups).
 #pragma once
 
 #include <cstdint>
@@ -32,7 +35,7 @@
 #include "net/ids.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "sharebackup/circuit_switch.hpp"
+#include "sharebackup/circuit_fabric.hpp"
 #include "sharebackup/device.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/position.hpp"
@@ -75,7 +78,7 @@ struct InterfaceRef {
       default;
 };
 
-class Fabric {
+class Fabric : public CircuitFabric {
  public:
   explicit Fabric(const FabricParams& params);
 
@@ -89,9 +92,6 @@ class Fabric {
   [[nodiscard]] int k() const noexcept { return ft_.k(); }
   [[nodiscard]] int half_k() const noexcept { return ft_.half_k(); }
   [[nodiscard]] int n() const noexcept { return params_.backups_per_group; }
-  [[nodiscard]] CircuitTechnology technology() const noexcept {
-    return params_.technology;
-  }
 
   // --- positions and devices ------------------------------------------------
   [[nodiscard]] net::NodeId node_at(SwitchPosition pos) const;
@@ -99,18 +99,16 @@ class Fabric {
       net::NodeId node) const;
   [[nodiscard]] DeviceUid device_at(SwitchPosition pos) const;
   [[nodiscard]] const PhysicalDevice& device(DeviceUid uid) const;
-  [[nodiscard]] DeviceState device_state(DeviceUid uid) const;
   [[nodiscard]] std::vector<DeviceUid> spares(Layer layer, int group) const;
   /// Every pooled spare, by layer (edge, agg, core) then failure group.
-  [[nodiscard]] std::vector<DeviceUid> all_spares() const;
+  [[nodiscard]] std::vector<DeviceUid> all_spares() const {
+    return pool_.all_spares();
+  }
   /// Every switch position's current device, in FatTree::all_switches()
   /// order, followed by all_spares(). Failovers and repairs only permute
   /// devices within this set, so taken before any failure it is the
   /// closed switch-device universe a repair crew scans.
   [[nodiscard]] std::vector<DeviceUid> switch_devices() const;
-  [[nodiscard]] std::size_t switch_device_count() const noexcept {
-    return switch_devices_;
-  }
   /// Position currently served by an in-service device.
   [[nodiscard]] std::optional<SwitchPosition> position_of_device(
       DeviceUid uid) const;
@@ -118,22 +116,10 @@ class Fabric {
   [[nodiscard]] DeviceUid device_of_host(net::NodeId host) const;
 
   // --- circuit switches ---------------------------------------------------
-  [[nodiscard]] std::size_t circuit_switch_count() const noexcept {
-    return switches_.size();
-  }
-  [[nodiscard]] const CircuitSwitch& circuit_switch(std::size_t idx) const;
-  [[nodiscard]] CircuitSwitch& circuit_switch(std::size_t idx);
   /// Global index of circuit switch CS_{cs_layer, pod, m}; cs_layer is the
   /// paper's l in {1,2,3}. For layer 1, m ranges over hosts_per_edge; for
   /// layers 2-3 over k/2.
   [[nodiscard]] std::size_t cs_index(int cs_layer, int pod, int m) const;
-  /// Circuit switches a device is cabled to, with its port on each.
-  struct DevicePort {
-    std::size_t cs;
-    int port;
-  };
-  [[nodiscard]] const std::vector<DevicePort>& ports_of_device(
-      DeviceUid uid) const;
 
   // --- interface health (ground truth for fault injection) -----------------
   [[nodiscard]] bool interface_healthy(InterfaceRef iface) const;
@@ -183,7 +169,9 @@ class Fabric {
 
   /// Spares currently pooled across all failure groups (the telemetry
   /// backup-pool-occupancy probe).
-  [[nodiscard]] std::size_t total_spares() const;
+  [[nodiscard]] std::size_t total_spares() const noexcept {
+    return pool_.total_spares();
+  }
 
   /// Instants for failovers / pool returns plus a "fabric.spare_pool"
   /// counter track, timestamped with set_trace_time() (the fabric has no
@@ -204,8 +192,6 @@ class Fabric {
   /// — i.e. the circuit terminates at some interface and both end
   /// interfaces are healthy. `from` must be matched.
   [[nodiscard]] bool probe(InterfaceRef from) const;
-  /// The device's port on the given circuit switch (it must be cabled).
-  [[nodiscard]] int device_port_on(DeviceUid uid, std::size_t cs) const;
   /// The circuit switch through which a packet-layer link is realized
   /// (derived structurally from the endpoints' positions).
   [[nodiscard]] std::size_t cs_of_link(net::LinkId link) const;
@@ -227,28 +213,14 @@ class Fabric {
   [[nodiscard]] std::vector<std::pair<net::NodeId, net::NodeId>>
   realized_adjacency() const;
 
-  /// Cross-checks internal invariants (matching consistency, assignment
-  /// bijectivity, spare accounting). Throws ContractViolation on breakage.
-  void check_invariants() const;
-
  private:
-  struct Group {
-    Layer layer;
-    int id;
-    std::vector<DeviceUid> assigned;  ///< by slot
-    std::vector<DeviceUid> spare;
-    std::vector<DeviceUid> out;
-    std::vector<std::size_t> circuit_switches;  ///< all CS the group touches
-  };
-
   void build_devices();
   void build_circuit_switches();
   void wire_defaults();
-  [[nodiscard]] Group& group(Layer layer, int id);
-  [[nodiscard]] const Group& group(Layer layer, int id) const;
-  [[nodiscard]] DeviceUid new_device(bool is_host, Layer layer, int group,
-                                     std::string name);
-  void register_port(DeviceUid dev, std::size_t cs, int port);
+  /// Dense pool index of a layer's failure group.
+  [[nodiscard]] int pool_group(Layer layer, int group) const {
+    return topo::failure_group_index(k(), layer, group);
+  }
   // iface.cs is a std::size_t: packing it unmasked into the low word
   // would let a cs >= 2^32 bleed into the device word and alias another
   // interface's health entry, so the checked pack is load-bearing here.
@@ -259,14 +231,8 @@ class Fabric {
   FabricParams params_;
   topo::FatTree ft_;
   std::vector<PhysicalDevice> devices_;
-  std::vector<DeviceState> device_state_;
-  std::vector<std::vector<DevicePort>> device_ports_;
-  std::vector<Group> edge_groups_;
-  std::vector<Group> agg_groups_;
-  std::vector<Group> core_groups_;
-  std::vector<CircuitSwitch> switches_;
   std::size_t cs_layer1_per_pod_ = 0;
-  /// Per-cabled-port unhealthy flags, parallel to device_ports_ (same
+  /// Per-cabled-port unhealthy flags, parallel to ports_of_device (same
   /// outer and inner indexing). Probing storms during recovery hit this
   /// once per cable end, so it is flat; devices hold a handful of ports
   /// and a linear cs scan stays in one cache line.
@@ -275,9 +241,6 @@ class Fabric {
   /// through the public API, vanishingly rare in practice (fault
   /// injectors mark cabled ends). Linear scan, usually empty.
   std::vector<std::uint64_t> uncabled_unhealthy_;
-  std::size_t switch_devices_ = 0;
-  /// Host device uid per global host index (hosts attach to layer-1 CS).
-  std::vector<DeviceUid> host_device_;
   obs::Counter* m_failovers_ = nullptr;
   obs::Counter* m_reconfigurations_ = nullptr;
   obs::Counter* m_pool_returns_ = nullptr;

@@ -19,19 +19,19 @@
 //   * side ports chain each circuit-switch row into a ring, as in the
 //     fat-tree fabric.
 //
-// Failover semantics are identical to sharebackup::Fabric: network nodes
-// are logical positions; a failover re-points the failed device's
-// circuits at a spare and restores the position.
+// Failover semantics are sharebackup::Fabric's, from the same
+// CircuitFabric base: network nodes are logical positions; a failover
+// re-points the failed device's circuits at a spare and restores the
+// position. The pool holds the leaf groups, then the spine groups.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "net/ids.hpp"
 #include "net/network.hpp"
-#include "sharebackup/circuit_switch.hpp"
+#include "sharebackup/circuit_fabric.hpp"
 #include "sharebackup/device.hpp"
 #include "util/time.hpp"
 
@@ -59,7 +59,7 @@ struct LsPosition {
   friend constexpr bool operator==(LsPosition, LsPosition) noexcept = default;
 };
 
-class LeafSpineFabric {
+class LeafSpineFabric : public CircuitFabric {
  public:
   explicit LeafSpineFabric(const LeafSpineParams& params);
 
@@ -79,7 +79,6 @@ class LeafSpineFabric {
 
   // --- devices ---------------------------------------------------------------
   [[nodiscard]] DeviceUid device_at(LsPosition pos) const;
-  [[nodiscard]] DeviceState device_state(DeviceUid uid) const;
   [[nodiscard]] std::vector<DeviceUid> spares(LsTier tier, int group) const;
   [[nodiscard]] int group_of(LsPosition pos) const;
 
@@ -92,18 +91,14 @@ class LeafSpineFabric {
     Seconds reconfiguration_latency = 0.0;
   };
   [[nodiscard]] std::optional<FailoverReport> fail_over(LsPosition pos);
-  void return_to_pool(DeviceUid uid);
+  /// Idempotent, like Fabric::return_to_pool.
+  void return_to_pool(DeviceUid uid) { (void)pool_.return_to_pool(uid); }
 
   // --- structure -------------------------------------------------------------
-  [[nodiscard]] std::size_t circuit_switch_count() const noexcept {
-    return switches_.size();
-  }
-  [[nodiscard]] const CircuitSwitch& circuit_switch(std::size_t idx) const;
   /// Packet adjacency realized by the current matchings (must equal the
   /// leaf-spine link set in any consistent state).
   [[nodiscard]] std::vector<std::pair<net::NodeId, net::NodeId>>
   realized_adjacency() const;
-  void check_invariants() const;
 
   struct Census {
     std::size_t backup_switches = 0;
@@ -113,40 +108,25 @@ class LeafSpineFabric {
   [[nodiscard]] Census census() const;
 
  private:
-  struct Group {
-    LsTier tier;
-    int id;
-    std::vector<DeviceUid> assigned;
-    std::vector<DeviceUid> spare;
-    std::vector<DeviceUid> out;
-  };
-  struct DevicePort {
-    std::size_t cs;
-    int port;
-  };
-
-  [[nodiscard]] Group& group(LsTier tier, int id);
-  [[nodiscard]] const Group& group(LsTier tier, int id) const;
-  [[nodiscard]] DeviceUid new_device(std::string name);
-  void attach(std::size_t cs, PortClass cls, int slot, DeviceUid dev,
-              int iface);
+  /// Pool of L/G leaf groups followed by S/G spine groups.
+  [[nodiscard]] static topo::FailureGroupPool make_pool(
+      const LeafSpineParams& params);
+  [[nodiscard]] int leaf_group_count() const noexcept {
+    return params_.leaves / params_.group_size;
+  }
+  /// Dense pool index of a tier's group.
+  [[nodiscard]] int pool_group(LsTier tier, int group) const {
+    return tier == LsTier::kLeaf ? group : leaf_group_count() + group;
+  }
   [[nodiscard]] std::size_t cs_layer1(int leaf_group, int m) const;
   [[nodiscard]] std::size_t cs_layer2(int leaf_group, int spine_group,
                                       int m) const;
-  [[nodiscard]] int device_port_on(DeviceUid uid, std::size_t cs) const;
 
   LeafSpineParams params_;
   net::Network net_;
   std::vector<net::NodeId> hosts_;
   std::vector<net::NodeId> leaves_;
   std::vector<net::NodeId> spines_;
-  std::vector<Group> leaf_groups_;
-  std::vector<Group> spine_groups_;
-  std::vector<CircuitSwitch> switches_;
-  std::vector<std::vector<DevicePort>> device_ports_;
-  std::vector<DeviceState> device_state_;
-  std::vector<std::string> device_name_;
-  std::vector<DeviceUid> host_device_;
 };
 
 }  // namespace sbk::sharebackup

@@ -75,4 +75,47 @@ struct SwitchPosition {
   return layer == Layer::kCore ? k / 2 : k;
 }
 
+/// Dense index of failure group `group` of `layer` across all layers:
+/// the k edge groups (by pod), then the k agg groups, then the k/2 core
+/// groups. This is the group order of a fat-tree FailureGroupPool.
+[[nodiscard]] inline int failure_group_index(int k, Layer layer, int group) {
+  SBK_EXPECTS(group >= 0 && group < failure_group_count(k, layer));
+  switch (layer) {
+    case Layer::kEdge: return group;
+    case Layer::kAgg: return k + group;
+    case Layer::kCore: return 2 * k + group;
+  }
+  SBK_UNREACHABLE("bad layer");
+}
+
+[[nodiscard]] inline int failure_group_index(int k, SwitchPosition pos) {
+  return failure_group_index(k, pos.layer, failure_group_of(k, pos));
+}
+
+/// A failure group named by layer and per-layer id.
+struct FailureGroupId {
+  Layer layer = Layer::kEdge;
+  int id = 0;
+};
+
+/// Inverse of failure_group_index.
+[[nodiscard]] inline FailureGroupId failure_group_at(int k, int index) {
+  SBK_EXPECTS(index >= 0 && index < 2 * k + k / 2);
+  if (index < k) return {Layer::kEdge, index};
+  if (index < 2 * k) return {Layer::kAgg, index - k};
+  return {Layer::kCore, index - 2 * k};
+}
+
+/// The position that `slot` of dense failure group `index` serves
+/// (inverse of failure_group_index + group_slot_of).
+[[nodiscard]] inline SwitchPosition position_in_group(int k, int index,
+                                                      int slot) {
+  const FailureGroupId g = failure_group_at(k, index);
+  SBK_EXPECTS(slot >= 0 && slot < k / 2);
+  if (g.layer == Layer::kCore) {
+    return SwitchPosition{Layer::kCore, -1, slot * (k / 2) + g.id};
+  }
+  return SwitchPosition{g.layer, g.id, slot};
+}
+
 }  // namespace sbk::topo

@@ -21,6 +21,18 @@ bool ParseResult::has(std::string_view name) const {
   return false;
 }
 
+std::optional<long long> ParseResult::int_or(std::string_view name,
+                                             long long fallback) const {
+  const std::optional<std::string> text = value_of(name);
+  return text ? parse_int(*text) : std::optional<long long>(fallback);
+}
+
+std::optional<double> ParseResult::double_or(std::string_view name,
+                                             double fallback) const {
+  const std::optional<std::string> text = value_of(name);
+  return text ? parse_double(*text) : std::optional<double>(fallback);
+}
+
 ParseResult parse_args(int argc, const char* const* argv,
                        const std::vector<FlagSpec>& specs,
                        std::size_t max_positional) {

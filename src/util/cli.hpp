@@ -39,6 +39,12 @@ struct ParseResult {
   [[nodiscard]] std::optional<std::string> value_of(
       std::string_view name) const;
   [[nodiscard]] bool has(std::string_view name) const;
+  /// Last value of a flag as a whole-token number: `fallback` when the
+  /// flag is absent, nullopt when its value is malformed.
+  [[nodiscard]] std::optional<long long> int_or(std::string_view name,
+                                                long long fallback) const;
+  [[nodiscard]] std::optional<double> double_or(std::string_view name,
+                                                double fallback) const;
 };
 
 /// Parses argv[1..argc). Arguments starting with "--" must match a spec;

@@ -1,11 +1,12 @@
 // Tests for the assembled control plane: detection-to-recovery wiring,
-// background diagnosis scheduling, table mirroring, headless report
-// buffering in the cluster, and repeated-failure handling at one
-// position (re-armed detectors).
+// background diagnosis scheduling, §4.3 forwarding over the fabric's
+// pool, headless report buffering in the cluster, and repeated-failure
+// handling at one position (re-armed detectors).
 #include <gtest/gtest.h>
 
 #include "control/control_plane.hpp"
 #include "net/algo.hpp"
+#include "routing/impersonation.hpp"
 
 namespace sbk::control {
 namespace {
@@ -22,6 +23,24 @@ FabricParams fp(int k, int n) {
   p.fat_tree.k = k;
   p.backups_per_group = n;
   return p;
+}
+
+/// Walks every host pair through the §4.3 tables of the devices the
+/// fabric's pool currently assigns; true iff all are delivered.
+bool all_pairs_deliver(const Fabric& fabric) {
+  const int k = fabric.k();
+  const int half = fabric.half_k();
+  routing::ImpersonationStore tables(k);
+  routing::ForwardingSim sim(tables, fabric.pool());
+  for (int s = 0; s < k * half * half; ++s) {
+    for (int d = 0; d < k * half * half; ++d) {
+      if (s == d) continue;
+      routing::HostAddr src{s / (half * half), (s / half) % half, s % half};
+      routing::HostAddr dst{d / (half * half), (d / half) % half, d % half};
+      if (!sim.walk(src, dst).delivered) return false;
+    }
+  }
+  return true;
 }
 
 TEST(ControlPlane, NodeFailureRecoversEndToEnd) {
@@ -66,8 +85,7 @@ TEST(ControlPlane, LinkFailureDiagnosedInBackground) {
   EXPECT_EQ(plane.controller().pending_diagnosis(), 0u);
   EXPECT_EQ(plane.controller().stats().switches_exonerated, 1u);
   EXPECT_EQ(fabric.spares(Layer::kAgg, 1).size(), 1u);
-  // Tables mirrored throughout.
-  plane.tables().check_mirrored(fabric);
+  fabric.check_invariants();
 }
 
 TEST(ControlPlane, RepeatedFailuresAtSamePositionAreReDetected) {
@@ -188,7 +206,35 @@ TEST(ControlPlane, DefaultClusterRecoversAndMirrorsTables) {
   EXPECT_FALSE(fabric.network().node_failed(victim));
   EXPECT_EQ(plane.controller().stats().failovers, 1u);
   EXPECT_EQ(plane.cluster().buffered(), 0u);
-  plane.tables().check_mirrored(fabric);
+  // The preloaded tables follow the fabric's own pool.
+  EXPECT_TRUE(all_pairs_deliver(fabric));
+}
+
+TEST(ControlPlane, NonUniformAggBackupsRecoverOntoBothSpares) {
+  // §6 non-uniform groups: two agg backups per pod, one elsewhere. The
+  // plane used to size its table copy from n and refuse to construct.
+  FabricParams p = fp(4, 1);
+  p.backups_agg = 2;
+  Fabric fabric(p);
+  const std::vector<sharebackup::DeviceUid> spares =
+      fabric.spares(Layer::kAgg, 0);
+  ASSERT_EQ(spares.size(), 2u);
+  sim::EventQueue q;
+  ControlPlane plane(fabric, q, ControlPlaneConfig{});
+  plane.start(0.1);
+  const SwitchPosition a0{Layer::kAgg, 0, 0};
+  const SwitchPosition a1{Layer::kAgg, 0, 1};
+  q.schedule_at(0.01, [&] { fabric.network().fail_node(fabric.node_at(a0)); });
+  q.schedule_at(0.03, [&] { fabric.network().fail_node(fabric.node_at(a1)); });
+  q.run();
+  EXPECT_EQ(plane.controller().stats().failovers, 2u);
+  EXPECT_FALSE(fabric.network().node_failed(fabric.node_at(a0)));
+  EXPECT_FALSE(fabric.network().node_failed(fabric.node_at(a1)));
+  EXPECT_EQ(fabric.device_at(a0), spares[0]);
+  EXPECT_EQ(fabric.device_at(a1), spares[1]);
+  EXPECT_TRUE(fabric.spares(Layer::kAgg, 0).empty());
+  fabric.check_invariants();
+  EXPECT_TRUE(all_pairs_deliver(fabric));
 }
 
 }  // namespace

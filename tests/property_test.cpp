@@ -381,19 +381,19 @@ TEST(MaxMinProperty, SolverMatchesReferenceBitForBit) {
 }
 
 TEST(ImpersonationProperty, GroupMembersShareIdenticalTables) {
-  routing::ImpersonationStore store(8, 2);
+  routing::ImpersonationStore store(8);
+  const topo::FailureGroupPool pool = topo::make_fat_tree_pool(8, 2, 2, 2);
   // Sample lookups across devices of the same group must agree exactly.
   for (int pod = 0; pod < 8; ++pod) {
+    const int group = topo::failure_group_index(8, Layer::kEdge, pod);
     std::vector<routing::DeviceUid> devices;
-    for (int j = 0; j < 4; ++j) {
-      devices.push_back(store.device_at({Layer::kEdge, pod, j}));
-    }
-    for (routing::DeviceUid spare : store.spares(Layer::kEdge, pod)) {
+    for (int j = 0; j < 4; ++j) devices.push_back(pool.device_at(group, j));
+    for (routing::DeviceUid spare : pool.spares(group)) {
       devices.push_back(spare);
     }
-    const auto& reference = store.table_of(devices[0]);
+    const auto& reference = store.table_of(pool, devices[0]);
     for (routing::DeviceUid d : devices) {
-      const auto& t = store.table_of(d);
+      const auto& t = store.table_of(pool, d);
       ASSERT_EQ(t.size(), reference.size());
       for (int vlan = 0; vlan < 4; ++vlan) {
         for (int h = 0; h < 4; ++h) {

@@ -3,8 +3,11 @@
 // and — the crucial property — forwarding invariance under failovers.
 #include <gtest/gtest.h>
 
+#include "control/controller.hpp"
 #include "routing/impersonation.hpp"
 #include "routing/two_level.hpp"
+#include "sharebackup/fabric.hpp"
+#include "topo/failure_group_pool.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -78,13 +81,27 @@ TEST(TableBuilder, CombinedEqualsMergeOfEdgeTables) {
   }
 }
 
+// Position-level helpers over a standalone fat-tree pool.
+std::optional<topo::FailureGroupPool::Failover> fail_over(
+    topo::FailureGroupPool& pool, int k, SwitchPosition pos) {
+  return pool.fail_over(topo::failure_group_index(k, pos),
+                        topo::group_slot_of(k, pos));
+}
+
+DeviceUid device_at(const topo::FailureGroupPool& pool, int k,
+                    SwitchPosition pos) {
+  return pool.device_at(topo::failure_group_index(k, pos),
+                        topo::group_slot_of(k, pos));
+}
+
 class ForwardingAllPairs : public ::testing::TestWithParam<int> {};
 
 TEST_P(ForwardingAllPairs, EveryHostPairDeliversWithCorrectHopCount) {
   const int k = GetParam();
   const int half = k / 2;
-  ImpersonationStore store(k, /*n_backups=*/1);
-  ForwardingSim sim(store);
+  ImpersonationStore tables(k);
+  topo::FailureGroupPool pool = topo::make_fat_tree_pool(k, 1, 1, 1);
+  ForwardingSim sim(tables, pool);
   for (int sp = 0; sp < k; ++sp) {
     for (int se = 0; se < half; ++se) {
       for (int sh = 0; sh < half; ++sh) {
@@ -119,8 +136,9 @@ INSTANTIATE_TEST_SUITE_P(Ks, ForwardingAllPairs, ::testing::Values(4, 6));
 TEST(Impersonation, FailoverPreservesForwardingExactly) {
   const int k = 6;
   const int half = k / 2;
-  ImpersonationStore store(k, 2);
-  ForwardingSim sim(store);
+  ImpersonationStore tables(k);
+  topo::FailureGroupPool pool = topo::make_fat_tree_pool(k, 2, 2, 2);
+  ForwardingSim sim(tables, pool);
 
   // Record baseline traces for a sample of pairs.
   std::vector<std::pair<HostAddr, HostAddr>> pairs;
@@ -137,10 +155,10 @@ TEST(Impersonation, FailoverPreservesForwardingExactly) {
   }
 
   // Fail over a mix of positions.
-  ASSERT_TRUE(store.fail_over({Layer::kEdge, 0, 1}).has_value());
-  ASSERT_TRUE(store.fail_over({Layer::kAgg, 3, 0}).has_value());
-  ASSERT_TRUE(store.fail_over({Layer::kCore, -1, 4}).has_value());
-  ASSERT_TRUE(store.fail_over({Layer::kEdge, 2, 2}).has_value());
+  ASSERT_TRUE(fail_over(pool, k, {Layer::kEdge, 0, 1}).has_value());
+  ASSERT_TRUE(fail_over(pool, k, {Layer::kAgg, 3, 0}).has_value());
+  ASSERT_TRUE(fail_over(pool, k, {Layer::kCore, -1, 4}).has_value());
+  ASSERT_TRUE(fail_over(pool, k, {Layer::kEdge, 2, 2}).has_value());
 
   // Forwarding must be unchanged at the position level: same positions,
   // same hop counts, delivery everywhere.
@@ -152,48 +170,56 @@ TEST(Impersonation, FailoverPreservesForwardingExactly) {
 }
 
 TEST(Impersonation, ReplacementDeviceServesPositionWithGroupTable) {
-  ImpersonationStore store(8, 1);
+  const int k = 8;
+  ImpersonationStore tables(k);
+  topo::FailureGroupPool pool = topo::make_fat_tree_pool(k, 1, 1, 1);
   SwitchPosition pos{Layer::kEdge, 2, 1};
-  DeviceUid before = store.device_at(pos);
-  auto failover = store.fail_over(pos);
+  DeviceUid before = device_at(pool, k, pos);
+  auto failover = fail_over(pool, k, pos);
   ASSERT_TRUE(failover.has_value());
   EXPECT_EQ(failover->failed, before);
-  DeviceUid after = store.device_at(pos);
+  DeviceUid after = device_at(pool, k, pos);
   EXPECT_NE(after, before);
-  // Both devices hold the *same* combined table object semantics.
-  EXPECT_EQ(store.table_of(before).size(), store.table_of(after).size());
-  EXPECT_EQ(store.layer_of(after), Layer::kEdge);
+  // Both devices hold the same preloaded table: their group's.
+  EXPECT_EQ(&tables.table_of(pool, before), &tables.table_of(pool, after));
+  EXPECT_EQ(pool.group_of(after), topo::failure_group_index(k, pos));
+  EXPECT_EQ(topo::failure_group_at(k, pool.group_of(after)).layer,
+            Layer::kEdge);
 }
 
 TEST(Impersonation, PoolExhaustionAndReturn) {
-  ImpersonationStore store(4, 1);
+  topo::FailureGroupPool pool = topo::make_fat_tree_pool(4, 1, 1, 1);
   SwitchPosition a{Layer::kAgg, 0, 0};
   SwitchPosition b{Layer::kAgg, 0, 1};
-  auto f1 = store.fail_over(a);
+  auto f1 = fail_over(pool, 4, a);
   ASSERT_TRUE(f1.has_value());
-  EXPECT_FALSE(store.fail_over(b).has_value());  // pool exhausted (n=1)
-  store.return_to_pool(f1->failed);
-  EXPECT_TRUE(store.fail_over(b).has_value());   // repaired device reused
+  EXPECT_FALSE(fail_over(pool, 4, b).has_value());  // pool exhausted (n=1)
+  EXPECT_TRUE(pool.return_to_pool(f1->failed));
+  EXPECT_TRUE(fail_over(pool, 4, b).has_value());  // repaired device reused
+  pool.check_invariants();
 }
 
 TEST(Impersonation, CoreGroupFailoverUsesOwnGroupSpares) {
   const int k = 8;
-  ImpersonationStore store(k, 1);
+  topo::FailureGroupPool pool = topo::make_fat_tree_pool(k, 1, 1, 1);
   // Cores 1, 5, 9, 13 are group 1 (k/2 = 4).
-  auto spares_before = store.spares(Layer::kCore, 1);
+  const int core1 = topo::failure_group_index(k, Layer::kCore, 1);
+  const int core0 = topo::failure_group_index(k, Layer::kCore, 0);
+  auto spares_before = pool.spares(core1);
   ASSERT_EQ(spares_before.size(), 1u);
-  auto f = store.fail_over({Layer::kCore, -1, 9});
+  auto f = fail_over(pool, k, {Layer::kCore, -1, 9});
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f->replacement, spares_before[0]);
-  EXPECT_TRUE(store.spares(Layer::kCore, 1).empty());
-  EXPECT_EQ(store.spares(Layer::kCore, 0).size(), 1u);  // untouched
+  EXPECT_TRUE(pool.spares(core1).empty());
+  EXPECT_EQ(pool.spares(core0).size(), 1u);  // untouched
 }
 
 TEST(Impersonation, RandomizedFailoverChurnKeepsAllPairsDelivering) {
   const int k = 4;
   const int half = k / 2;
-  ImpersonationStore store(k, 2);
-  ForwardingSim sim(store);
+  ImpersonationStore tables(k);
+  topo::FailureGroupPool pool = topo::make_fat_tree_pool(k, 2, 2, 2);
+  ForwardingSim sim(tables, pool);
   sbk::Rng rng(2024);
 
   std::vector<SwitchPosition> positions;
@@ -211,17 +237,90 @@ TEST(Impersonation, RandomizedFailoverChurnKeepsAllPairsDelivering) {
   for (int round = 0; round < 40; ++round) {
     if (!replaced.empty() && rng.bernoulli(0.5)) {
       std::size_t i = rng.uniform_index(replaced.size());
-      store.return_to_pool(replaced[i]);
+      pool.return_to_pool(replaced[i]);
       replaced.erase(replaced.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
       auto pos = positions[rng.uniform_index(positions.size())];
-      if (auto f = store.fail_over(pos)) replaced.push_back(f->failed);
+      if (auto f = fail_over(pool, k, pos)) replaced.push_back(f->failed);
     }
+    pool.check_invariants();
     // Spot-check delivery across pods each round.
     ForwardingTrace t = sim.walk(HostAddr{0, 0, 0}, HostAddr{3, 1, 1});
     ASSERT_TRUE(t.delivered) << "round " << round;
     ForwardingTrace u = sim.walk(HostAddr{2, 1, 0}, HostAddr{2, 0, 1});
     ASSERT_TRUE(u.delivered) << "round " << round;
+  }
+}
+
+TEST(Impersonation, ForwardingInvariantUnderControllerChurn) {
+  // The walker reads the fabric's own pool: every controller-driven
+  // failover, exoneration and repair is visible to it with no mirror.
+  const int k = 6;
+  sharebackup::FabricParams fp;
+  fp.fat_tree.k = k;
+  fp.backups_per_group = 2;
+  sharebackup::Fabric fabric(fp);
+  control::Controller ctrl(fabric, control::ControllerConfig{});
+  ImpersonationStore tables(k);
+  ForwardingSim fsim(tables, fabric.pool());
+
+  std::vector<std::pair<HostAddr, HostAddr>> pairs = {
+      {{0, 0, 0}, {5, 2, 1}}, {{3, 1, 2}, {3, 2, 0}}, {{1, 0, 0}, {4, 1, 1}}};
+  std::vector<std::vector<SwitchPosition>> baseline;
+  for (auto& [s, d] : pairs) {
+    auto t = fsim.walk(s, d);
+    ASSERT_TRUE(t.delivered);
+    baseline.push_back(t.positions);
+  }
+
+  Rng rng(606);
+  std::vector<DeviceUid> out;
+  for (int step = 0; step < 60; ++step) {
+    ctrl.set_time(step * 10.0);
+    if (!out.empty() && rng.bernoulli(0.4)) {
+      ctrl.on_device_repaired(out.back());
+      out.pop_back();
+    } else {
+      SwitchPosition pos;
+      double layer = rng.uniform_real(0.0, 1.0);
+      if (layer < 0.4) {
+        pos = {Layer::kEdge, static_cast<int>(rng.uniform_index(k)),
+               static_cast<int>(rng.uniform_index(3))};
+      } else if (layer < 0.8) {
+        pos = {Layer::kAgg, static_cast<int>(rng.uniform_index(k)),
+               static_cast<int>(rng.uniform_index(3))};
+      } else {
+        pos = {Layer::kCore, -1, static_cast<int>(rng.uniform_index(9))};
+      }
+      net::NodeId node = fabric.node_at(pos);
+      if (fabric.network().node_failed(node)) continue;
+      fabric.network().fail_node(node);
+      auto o = ctrl.on_switch_failure(pos);
+      if (o.recovered) {
+        out.push_back(o.failovers[0].failed_device);
+        // The replacement holds the pod's combined edge table
+        // (k/2 + k^2/4 entries) or its group's table.
+        const DeviceUid dev = fabric.device_at(pos);
+        if (pos.layer == Layer::kEdge) {
+          EXPECT_EQ(tables.table_of(fabric.pool(), dev).size(),
+                    static_cast<std::size_t>(3 + 9));
+        }
+        EXPECT_EQ(&tables.table_of(fabric.pool(), dev),
+                  &tables.group_table(topo::failure_group_index(k, pos)));
+      } else {
+        fabric.network().restore_node(node);
+      }
+    }
+    // Forwarding at the position level is bit-for-bit unchanged, and
+    // each hop is served by the fabric's current device.
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      auto t = fsim.walk(pairs[i].first, pairs[i].second);
+      ASSERT_TRUE(t.delivered) << "step " << step;
+      EXPECT_EQ(t.positions, baseline[i]) << "step " << step;
+      for (std::size_t h = 0; h < t.positions.size(); ++h) {
+        EXPECT_EQ(t.devices[h], fabric.device_at(t.positions[h]));
+      }
+    }
   }
 }
 
