@@ -80,10 +80,10 @@ Outcome replay(bool with_diagnosis, int k, int n, std::size_t events,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(bench::arg_int(argc, argv, "k", 8));
-  const int n = static_cast<int>(bench::arg_int(argc, argv, "n", 1));
-  const auto events =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "events", 40));
+  const bench::IntArgs args(argc, argv, {{"k", 8}, {"n", 1}, {"events", 40}});
+  const int k = static_cast<int>(args["k"]);
+  const int n = static_cast<int>(args["n"]);
+  const auto events = static_cast<std::size_t>(args["events"]);
 
   bench::banner("A3 / ablation — offline diagnosis on/off",
                 "Sequence of link failures, each rooted at one faulty "

@@ -88,7 +88,8 @@ void collect(const std::map<sim::CoflowId, double>& healthy,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(bench::arg_int(argc, argv, "k", 4));
+  const bench::IntArgs args(argc, argv, {{"k", 4}});
+  const int k = static_cast<int>(args["k"]);
   bench::banner("A1 / ablation — fluid vs packet-level failure impact",
                 "Identical trace + single edge-switch failure (100 ms "
                 "outage) under three network models.");

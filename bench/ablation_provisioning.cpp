@@ -125,11 +125,11 @@ sharebackup::FabricParams fabric_params(int k, const ProvisioningRow& row) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(bench::arg_int(argc, argv, "k", 8));
-  const auto years =
-      static_cast<double>(bench::arg_int(argc, argv, "years", 50));
-  const auto threads =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "threads", 0));
+  const bench::IntArgs args(
+      argc, argv, {{"k", 8}, {"years", 50}, {"threads", 0}});
+  const int k = static_cast<int>(args["k"]);
+  const auto years = static_cast<double>(args["years"]);
+  const auto threads = static_cast<std::size_t>(args["threads"]);
   bench::banner("A2 / ablation — backup provisioning vs survivability & cost",
                 "Year-scale Poisson failure storms (99.99% availability, "
                 "5-min MTTR) against the real fabric + controller; "

@@ -13,11 +13,11 @@
 using namespace sbk;
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(bench::arg_int(argc, argv, "k", 16));
-  const auto coflows =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "coflows", 250));
-  const auto trials =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "trials", 30));
+  const bench::IntArgs args(
+      argc, argv, {{"k", 16}, {"coflows", 250}, {"trials", 30}});
+  const int k = static_cast<int>(args["k"]);
+  const auto coflows = static_cast<std::size_t>(args["coflows"]);
+  const auto trials = static_cast<std::size_t>(args["trials"]);
 
   bench::banner(
       "E2 / Figure 1(b) — % of coflows affected by failures",

@@ -209,15 +209,19 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(bench::arg_int(argc, argv, "k", 16));
-  const auto coflows =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "coflows", 200));
-  const auto scenarios =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "scenarios", 3));
-  g_use_maxmin = bench::arg_int(argc, argv, "maxmin", 0) != 0;
-  g_xm = static_cast<double>(bench::arg_int(argc, argv, "xm", 1000000000LL));
-  const auto threads =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "threads", 0));
+  const bench::IntArgs args(argc, argv,
+                            {{"k", 16},
+                             {"coflows", 200},
+                             {"scenarios", 3},
+                             {"maxmin", 0},
+                             {"xm", 1000000000LL},
+                             {"threads", 0}});
+  const int k = static_cast<int>(args["k"]);
+  const auto coflows = static_cast<std::size_t>(args["coflows"]);
+  const auto scenarios = static_cast<std::size_t>(args["scenarios"]);
+  g_use_maxmin = args["maxmin"] != 0;
+  g_xm = static_cast<double>(args["xm"]);
+  const auto threads = static_cast<std::size_t>(args["threads"]);
   const Seconds duration = 300.0;
 
   bench::banner(

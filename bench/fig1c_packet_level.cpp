@@ -107,11 +107,11 @@ void print_series(const char* label, const Series& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(bench::arg_int(argc, argv, "k", 8));
-  const auto coflows =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "coflows", 60));
-  const auto scenarios =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "scenarios", 2));
+  const bench::IntArgs args(
+      argc, argv, {{"k", 8}, {"coflows", 60}, {"scenarios", 2}});
+  const int k = static_cast<int>(args["k"]);
+  const auto coflows = static_cast<std::size_t>(args["coflows"]);
+  const auto scenarios = static_cast<std::size_t>(args["scenarios"]);
 
   bench::banner(
       "E3b / Figure 1(c), packet level — CCT slowdown under one failure",

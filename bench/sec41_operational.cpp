@@ -16,11 +16,11 @@
 using namespace sbk;
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(bench::arg_int(argc, argv, "k", 8));
-  const auto horizon =
-      static_cast<double>(bench::arg_int(argc, argv, "seconds", 120));
-  const auto mean_gap_ms =
-      static_cast<double>(bench::arg_int(argc, argv, "gap-ms", 2000));
+  const bench::IntArgs args(
+      argc, argv, {{"k", 8}, {"seconds", 120}, {"gap-ms", 2000}});
+  const int k = static_cast<int>(args["k"]);
+  const auto horizon = static_cast<double>(args["seconds"]);
+  const auto mean_gap_ms = static_cast<double>(args["gap-ms"]);
 
   bench::banner("E11 / §4.1 — operational control-plane run",
                 "k=" + std::to_string(k) + " fabric, n=2; " +

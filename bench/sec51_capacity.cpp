@@ -92,10 +92,9 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto years =
-      static_cast<double>(bench::arg_int(argc, argv, "years", 25));
-  const auto threads =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "threads", 0));
+  const bench::IntArgs args(argc, argv, {{"years", 25}, {"threads", 0}});
+  const auto years = static_cast<double>(args["years"]);
+  const auto threads = static_cast<std::size_t>(args["threads"]);
   bench::banner("E7 / §5.1 — capacity to handle failures",
                 "Backup ratios; Monte-Carlo group-overflow probability "
                 "(99.99% availability, 5-minute repairs); kn link capacity.");

@@ -18,8 +18,8 @@
 using namespace sbk;
 
 int main(int argc, char** argv) {
-  const auto samples =
-      static_cast<std::size_t>(bench::arg_int(argc, argv, "samples", 200));
+  const bench::IntArgs args(argc, argv, {{"samples", 200}});
+  const auto samples = static_cast<std::size_t>(args["samples"]);
   bench::banner("E8 / §5.3 — recovery latency",
                 "Component model + DES measurement (1 ms probes, 3-miss "
                 "detection, sub-ms control channels).");

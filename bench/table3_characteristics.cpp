@@ -115,7 +115,8 @@ void print_row(const char* arch, const Characteristics& ch) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = static_cast<int>(bench::arg_int(argc, argv, "k", 8));
+  const bench::IntArgs args(argc, argv, {{"k", 8}});
+  const int k = static_cast<int>(args["k"]);
   bench::banner("E6 / Table 3 — performance characteristics, measured",
                 "Single aggregation-switch failure on a k=" +
                     std::to_string(k) +

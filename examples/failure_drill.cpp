@@ -40,13 +40,29 @@ int main(int argc, char** argv) {
   sharebackup::Fabric fabric(params);
   control::Controller controller(fabric, control::ControllerConfig{});
   sim::EventQueue queue;
-  control::FailureDetector detector(queue, fabric.network(),
-                                    control::DetectorConfig{});
-  control::ControllerCluster cluster(queue, control::ClusterConfig{});
+  const control::DetectorConfig detector_config;
+  const control::ClusterConfig cluster_config;
+  control::FailureDetector detector(queue, fabric.network(), detector_config);
+  control::ControllerCluster cluster(queue, cluster_config);
+
+  // The ring holds the whole drill: one queue dispatch span per probe of
+  // every watched switch and link and per cluster heartbeat tick over
+  // the horizon, plus headroom for the acts' control, fabric and
+  // recovery events. A drill that still overflows fails below.
+  const Seconds horizon = 1.0;
+  const auto ticks = [horizon](Seconds interval) {
+    return static_cast<std::size_t>(std::ceil(horizon / interval)) + 1;
+  };
+  const std::size_t watched = fabric.fat_tree().all_switches().size() +
+                              fabric.network().link_count();
+  const std::size_t trace_capacity =
+      watched * ticks(detector_config.probe_interval) +
+      ticks(cluster_config.heartbeat_interval) + 4096;
 
   obs::RecoveryTracer tracer;
   obs::MetricsRegistry metrics;
-  obs::FlightRecorder recorder(/*enabled=*/!trace_path.empty());
+  obs::FlightRecorder recorder(/*enabled=*/!trace_path.empty(),
+                               trace_capacity);
   detector.attach_tracer(&tracer);
   detector.attach_metrics(&metrics);
   controller.attach_tracer(&tracer);
@@ -84,7 +100,6 @@ int main(int argc, char** argv) {
                 out.detail.c_str());
   });
 
-  const Seconds horizon = 1.0;
   for (net::NodeId sw : fabric.fat_tree().all_switches()) {
     detector.watch_node(sw, horizon);
   }
@@ -279,8 +294,10 @@ int main(int argc, char** argv) {
     std::ofstream out(trace_path);
     recorder.write_trace_json(out);
     expect(out.good(), "trace JSON written");
-    std::printf("\nwrote %zu trace event(s) to %s\n",
-                recorder.events().size(), trace_path.c_str());
+    std::printf("\nwrote %zu trace event(s) to %s (%llu dropped)\n",
+                recorder.size(), trace_path.c_str(),
+                static_cast<unsigned long long>(recorder.dropped()));
+    expect(recorder.dropped() == 0, "flight recorder held the whole drill");
   }
 
   if (failures == 0) std::printf("\ntimeline validation: OK\n");

@@ -15,13 +15,16 @@
 #                  (-DSBK_SANITIZE=address,undefined, default dir
 #                  build-asan) and run the fault-injection,
 #                  control-plane, controller-cluster (Cluster.*),
-#                  service, fabric, leaf-spine and two-level-routing
-#                  suites under it — the chaos paths exercise the
-#                  allocation-heavy recovery machinery that ASan watches
-#                  best, the cluster's headless buffer stores deferred
-#                  actions that capture both controller drivers, and both
-#                  fabrics and the §4.3 table walker share one failure-
-#                  group pool and its group-index arithmetic.
+#                  service, fabric, leaf-spine, two-level-routing and
+#                  max-min (IncrementalMaxMin.*, sim_test,
+#                  property_test) suites under it — the chaos paths
+#                  exercise the allocation-heavy recovery machinery that
+#                  ASan watches best, the cluster's headless buffer
+#                  stores deferred actions that capture both controller
+#                  drivers, both fabrics and the §4.3 table walker share
+#                  one failure-group pool and its group-index
+#                  arithmetic, and the incremental max-min solve indexes
+#                  per-slot scratch that grows lazily with the network.
 #   --bench-smoke  Build the Release tree (default dir build-bench) and run
 #                  micro_perf for a handful of iterations per benchmark —
 #                  a fast "do the benchmarks still run" check, not a
@@ -406,7 +409,8 @@ if [ "$ASAN" = 1 ]; then
   BUILD="${1:-build-asan}"
   cmake -B "$BUILD" -G Ninja -DSBK_SANITIZE=address,undefined
   cmake --build "$BUILD" --target faultinject_test control_plane_test \
-    control_test service_test fabric_test leaf_spine_test two_level_test
+    control_test service_test fabric_test leaf_spine_test two_level_test \
+    incremental_max_min_test sim_test property_test
   "$BUILD"/tests/faultinject_test
   "$BUILD"/tests/control_plane_test
   "$BUILD"/tests/control_test --gtest_filter='Cluster.*'
@@ -414,8 +418,12 @@ if [ "$ASAN" = 1 ]; then
   "$BUILD"/tests/fabric_test
   "$BUILD"/tests/leaf_spine_test
   "$BUILD"/tests/two_level_test
+  "$BUILD"/tests/incremental_max_min_test --gtest_filter='IncrementalMaxMin.*'
+  "$BUILD"/tests/sim_test
+  "$BUILD"/tests/property_test
   echo "asan: faultinject_test + control_plane_test + Cluster.* + service_test" \
-    "+ fabric_test + leaf_spine_test + two_level_test clean"
+    "+ fabric_test + leaf_spine_test + two_level_test + IncrementalMaxMin.*" \
+    "+ sim_test + property_test clean"
   exit 0
 fi
 

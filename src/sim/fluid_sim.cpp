@@ -322,9 +322,7 @@ std::vector<FlowResult> FluidSimulator::run() {
     // 1) completions due at t_next. This runs before the horizon check:
     // a flow whose remaining volume drains exactly at the horizon has
     // completed at that instant and must not be reported unfinished.
-    std::vector<std::size_t> still_active;
-    still_active.reserve(active_.size());
-    bool any_completion = false;
+    std::size_t kept = 0;
     for (std::size_t idx : active_) {
       FlowState& f = flows_[idx];
       if (f.remaining_bytes <= cfg_.completion_epsilon_bytes ||
@@ -332,13 +330,11 @@ std::vector<FlowResult> FluidSimulator::run() {
            f.remaining_bytes / cfg_.unit_bytes_per_second <=
                eps_units + f.rate * kTimeEps)) {
         finish_flow(idx, now);
-        any_completion = true;
       } else {
-        still_active.push_back(idx);
+        active_[kept++] = idx;
       }
     }
-    active_.swap(still_active);
-    (void)any_completion;
+    active_.resize(kept);
     if (now >= cfg_.horizon) break;
 
     // 2) arrivals due now

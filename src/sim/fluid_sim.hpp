@@ -59,8 +59,8 @@ struct SimConfig {
   /// Under kMaxMinFair, maintain per-link flow membership between events
   /// and re-solve only the connected component an event dirtied
   /// (IncrementalMaxMin) instead of the whole fabric. Bit-identical to
-  /// the full re-solve (property-tested); disable only to benchmark the
-  /// monolithic path or to bisect a suspected divergence.
+  /// the full re-solve (property-tested); `false` is kept as the A/B
+  /// oracle that the FluidSim*MatchesFullResolve tests diff against.
   bool incremental_max_min = true;
 };
 

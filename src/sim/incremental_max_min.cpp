@@ -11,7 +11,6 @@ void IncrementalMaxMin::bind(const net::Network& net) {
   flows_.clear();
   free_flows_.clear();
   alive_ = 0;
-  next_seq_ = 0;
   members_.clear();
   free_members_.clear();
   link_head_.assign(net.link_count() * 2, kNoMember);
@@ -22,10 +21,11 @@ void IncrementalMaxMin::bind(const net::Network& net) {
   }
   dirty_slots_.clear();
   dirty_flows_.clear();
-  slot_dirty_.assign(link_head_.size(), 0);
-  flow_dirty_.clear();
   slot_seen_.assign(link_head_.size(), 0);
+  fill_.residual.assign(link_head_.size(), 0.0);
+  fill_.unfrozen.assign(link_head_.size(), 0);
   flow_seen_.clear();
+  fill_.frozen.clear();
   seen_stamp_ = 0;
   solves_ = 0;
   last_dirty_flows_ = 0;
@@ -39,27 +39,14 @@ void IncrementalMaxMin::ensure_link_arrays() {
   const std::size_t slots = net_->link_count() * 2;
   if (link_head_.size() >= slots) return;
   link_head_.resize(slots, kNoMember);
-  slot_dirty_.resize(slots, 0);
   slot_seen_.resize(slots, 0);
+  fill_.residual.resize(slots, 0.0);
+  fill_.unfrozen.resize(slots, 0);
   const std::size_t old_links = cap_snapshot_.size();
   cap_snapshot_.resize(net_->link_count());
   for (std::size_t i = old_links; i < cap_snapshot_.size(); ++i) {
     cap_snapshot_[i] =
         net_->link(net::LinkId(static_cast<std::uint32_t>(i))).capacity;
-  }
-}
-
-void IncrementalMaxMin::mark_slot_dirty(std::size_t s) {
-  if (!slot_dirty_[s]) {
-    slot_dirty_[s] = 1;
-    dirty_slots_.push_back(static_cast<std::uint32_t>(s));
-  }
-}
-
-void IncrementalMaxMin::mark_flow_dirty(FlowSlot f) {
-  if (!flow_dirty_[f]) {
-    flow_dirty_[f] = 1;
-    dirty_flows_.push_back(f);
   }
 }
 
@@ -75,14 +62,13 @@ IncrementalMaxMin::FlowSlot IncrementalMaxMin::add_flow(
   } else {
     f = static_cast<FlowSlot>(flows_.size());
     flows_.emplace_back();
-    flow_dirty_.push_back(0);
     flow_seen_.push_back(0);
+    fill_.frozen.push_back(0);
   }
   FlowRec& rec = flows_[f];
   rec.links.assign(links.begin(), links.end());
   rec.members.clear();
   rec.rate = std::numeric_limits<double>::infinity();
-  rec.seq = next_seq_++;
   rec.alive = true;
   ++alive_;
 
@@ -107,7 +93,7 @@ IncrementalMaxMin::FlowSlot IncrementalMaxMin::add_flow(
   }
 
   if (rec.links.empty()) return f;  // +inf already; touches no component
-  mark_flow_dirty(f);
+  dirty_flows_.push_back(f);
   return f;
 }
 
@@ -120,7 +106,7 @@ void IncrementalMaxMin::remove_flow(FlowSlot slot) {
     Member& mem = members_[m];
     // The survivors on this link gain the departed flow's share: their
     // component must re-solve.
-    mark_slot_dirty(mem.slot);
+    dirty_slots_.push_back(mem.slot);
     if (mem.prev != kNoMember) {
       members_[mem.prev].next = mem.next;
     } else {
@@ -145,8 +131,8 @@ void IncrementalMaxMin::note_topology_change() {
         net_->link(net::LinkId(static_cast<std::uint32_t>(i))).capacity;
     if (cap != cap_snapshot_[i]) {
       cap_snapshot_[i] = cap;
-      mark_slot_dirty(i * 2);
-      mark_slot_dirty(i * 2 + 1);
+      dirty_slots_.push_back(static_cast<std::uint32_t>(i * 2));
+      dirty_slots_.push_back(static_cast<std::uint32_t>(i * 2 + 1));
     }
   }
 }
@@ -156,7 +142,8 @@ void IncrementalMaxMin::solve() {
 
   // Close the dirty seeds to full components: alternate expanding flows
   // (over their links) and links (over their membership chains) until
-  // the frontier drains.
+  // the frontier drains. Walking a slot's chain also sets its filling
+  // state; a slot that carries no flow stays off the worklist.
   ++seen_stamp_;
   comp_flows_.clear();
   bfs_slots_.clear();
@@ -169,20 +156,18 @@ void IncrementalMaxMin::solve() {
   auto visit_flow = [this](FlowSlot f) {
     if (flow_seen_[f] == seen_stamp_) return;
     flow_seen_[f] = seen_stamp_;
+    fill_.frozen[f] = 0;
     comp_flows_.push_back(f);
   };
 
-  for (std::uint32_t s : dirty_slots_) {
-    slot_dirty_[s] = 0;
-    visit_slot(s);
-  }
+  for (std::uint32_t s : dirty_slots_) visit_slot(s);
   for (FlowSlot f : dirty_flows_) {
-    flow_dirty_[f] = 0;
     if (flows_[f].alive) visit_flow(f);
   }
   dirty_slots_.clear();
   dirty_flows_.clear();
 
+  fill_.active.clear();
   std::size_t next_flow = 0;
   std::size_t next_slot = 0;
   while (next_flow < comp_flows_.size() || next_slot < bfs_slots_.size()) {
@@ -191,28 +176,32 @@ void IncrementalMaxMin::solve() {
       for (net::DirectedLink dl : rec.links) visit_slot(link_slot(dl));
     }
     while (next_slot < bfs_slots_.size()) {
-      for (std::uint32_t m = link_head_[bfs_slots_[next_slot++]];
-           m != kNoMember; m = members_[m].next) {
+      const std::uint32_t s = bfs_slots_[next_slot++];
+      fill_.unfrozen[s] = 0;
+      for (std::uint32_t m = link_head_[s]; m != kNoMember;
+           m = members_[m].next) {
         visit_flow(members_[m].flow);
+        ++fill_.unfrozen[s];
       }
+      if (fill_.unfrozen[s] == 0) continue;
+      const double capacity = net_->link(net::LinkId(s / 2)).capacity;
+      fill_.residual[s] = std::max(capacity, 0.0);
+      fill_.active.push_back(s);
     }
   }
-
-  if (comp_flows_.empty()) return;  // e.g. a drained link carrying no flow
-
-  // Deterministic sub-solve order: admission sequence, the same relative
-  // order a monolithic driver would present these demands in.
-  std::sort(comp_flows_.begin(), comp_flows_.end(),
-            [this](FlowSlot a, FlowSlot b) {
-              return flows_[a].seq < flows_[b].seq;
-            });
-
-  solver_.begin(*net_, comp_flows_.size());
-  for (FlowSlot f : comp_flows_) solver_.add_demand(flows_[f].links);
-  solver_.solve_into(sub_rates_);
-  for (std::size_t i = 0; i < comp_flows_.size(); ++i) {
-    flows_[comp_flows_[i]].rate = sub_rates_[i];
-  }
+  if (comp_flows_.empty()) return;
+  fill_.run(
+      comp_flows_.size(),
+      [this](std::uint32_t s, auto&& fn) {
+        for (std::uint32_t m = link_head_[s]; m != kNoMember;
+             m = members_[m].next) {
+          fn(members_[m].flow);
+        }
+      },
+      [this](FlowSlot f, auto&& fn) {
+        for (net::DirectedLink dl : flows_[f].links) fn(link_slot(dl));
+      },
+      [this](FlowSlot f, double rate) { flows_[f].rate = rate; });
 
   ++solves_;
   last_dirty_flows_ = comp_flows_.size();

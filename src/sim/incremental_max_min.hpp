@@ -9,24 +9,18 @@
 // group's" traffic) it touches. This allocator keeps per-directed-link
 // flow membership lists between events, marks the touched links/flows
 // dirty, closes the dirty set to full components with a BFS over the
-// membership lists, and re-runs progressive filling on those flows
-// alone — every other flow keeps its previous rate, which is provably
+// membership lists, and runs progressive filling on those lists in
+// place — every other flow keeps its previous rate, which is provably
 // still the global solution's value.
 //
-// Bit-compatibility: the component sub-solve is MaxMinSolver itself, so
-// each double produced equals the full solve's (and hence the
-// max_min_rates_reference oracle's) output for that flow. Within one
-// filling round every frozen flow receives the same bottleneck share and
-// each link's residual is decremented once per frozen crossing by that
-// same share, so freeze *order* never changes the arithmetic; the only
-// place the decomposition could diverge from a monolithic solve is when
-// two distinct components' bottleneck shares are unequal yet within the
-// solver's 1e-12 relative freeze tolerance of each other — a band that
-// realizable capacities never populate (equal-capacity fabrics tie
-// exactly, which is handled; see DESIGN.md "Incremental max-min and the
-// dirty-component invariant"). The randomized churn property suite
-// (tests/incremental_max_min_test.cpp) pins bit-identity against the
-// reference oracle across fail/repair/arrive/complete interleavings.
+// Bit-compatibility: the rounds are ProgressiveFill's, whose results do
+// not depend on visiting order, so each rate equals the full solve's
+// (and max_min_rates_reference's) for that flow. The decomposition could
+// only diverge if two distinct components' bottleneck shares were
+// unequal yet within the 1e-12 freeze tolerance of each other, a band
+// realizable capacities never populate (DESIGN.md "Incremental max-min
+// and the dirty-component invariant"). The churn property suite in
+// tests/incremental_max_min_test.cpp pins bit-identity to the oracle.
 #pragma once
 
 #include <cstdint>
@@ -122,15 +116,12 @@ class IncrementalMaxMin {
     std::vector<net::DirectedLink> links;  // capacity reused on recycle
     std::vector<std::uint32_t> members;    // pool ids, parallel to links
     double rate = std::numeric_limits<double>::infinity();
-    std::uint64_t seq = 0;  ///< admission order (deterministic sub-solve)
     bool alive = false;
   };
 
-  [[nodiscard]] static std::size_t link_slot(net::DirectedLink dl) noexcept {
-    return dl.link.index() * 2 + (dl.forward ? 0 : 1);
+  [[nodiscard]] static std::uint32_t link_slot(net::DirectedLink dl) noexcept {
+    return dl.link.value() * 2 + (dl.forward ? 0 : 1);
   }
-  void mark_slot_dirty(std::size_t s);
-  void mark_flow_dirty(FlowSlot f);
   void ensure_link_arrays();
 
   const net::Network* net_ = nullptr;
@@ -138,7 +129,6 @@ class IncrementalMaxMin {
   std::vector<FlowRec> flows_;
   std::vector<FlowSlot> free_flows_;
   std::size_t alive_ = 0;
-  std::uint64_t next_seq_ = 0;
 
   std::vector<Member> members_;            // pooled membership arena
   std::vector<std::uint32_t> free_members_;
@@ -146,19 +136,17 @@ class IncrementalMaxMin {
 
   std::vector<double> cap_snapshot_;       // per undirected link
 
-  // Dirty seeds and BFS scratch. Stamps avoid O(universe) clears.
+  // Dirty seeds (may repeat; the BFS stamps dedupe them) and BFS
+  // scratch. Stamps avoid O(universe) clears.
   std::vector<std::uint32_t> dirty_slots_;
   std::vector<FlowSlot> dirty_flows_;
-  std::vector<std::uint8_t> slot_dirty_;
-  std::vector<std::uint8_t> flow_dirty_;
   std::vector<std::uint64_t> slot_seen_;
   std::vector<std::uint64_t> flow_seen_;
   std::uint64_t seen_stamp_ = 0;
   std::vector<std::uint32_t> bfs_slots_;
   std::vector<FlowSlot> comp_flows_;
 
-  MaxMinSolver solver_;           // component sub-solver (scratch reuse)
-  std::vector<double> sub_rates_;
+  ProgressiveFill fill_;  // over directed slots and flow slots
 
   std::size_t solves_ = 0;
   std::size_t last_dirty_flows_ = 0;

@@ -10,12 +10,9 @@ namespace sbk::sim {
 // ---------------------------------------------------------------------------
 // MaxMinSolver
 //
-// Bit-compatibility contract: every floating-point operation below — the
-// bottleneck-share minimum, the tolerance test selecting bottlenecked
-// links, and the freeze-order of the residual subtractions (ascending
-// flow index, then demand link order) — mirrors max_min_rates_reference
-// exactly, so the two produce identical doubles. Experiment outputs are
-// pinned to this (ISSUE 2 acceptance); change both or neither.
+// Bit-compatibility contract: ProgressiveFill's expressions mirror
+// max_min_rates_reference exactly, so the two produce identical doubles.
+// Experiment outputs are pinned to this; change both or neither.
 // ---------------------------------------------------------------------------
 
 void MaxMinSolver::begin(const net::Network& net,
@@ -31,9 +28,9 @@ void MaxMinSolver::begin(const net::Network& net,
   }
   ++stamp_;
 
-  residual_.clear();
-  unfrozen_.clear();
-  active_links_.clear();
+  fill_.residual.clear();
+  fill_.unfrozen.clear();
+  fill_.active.clear();
 }
 
 void MaxMinSolver::add_demand(std::span<const net::DirectedLink> links) {
@@ -50,6 +47,8 @@ void MaxMinSolver::solve_into(std::vector<double>& rate) {
 
   // Pass 1: discover touched directed links, count crossings per link,
   // and count demands that participate in filling at all.
+  std::vector<double>& residual = fill_.residual;
+  std::vector<std::uint32_t>& unfrozen = fill_.unfrozen;
   std::size_t total_entries = 0;
   std::size_t remaining = 0;
   for (std::size_t f = 0; f < n; ++f) {
@@ -58,93 +57,48 @@ void MaxMinSolver::solve_into(std::vector<double>& rate) {
       const std::size_t s = slot(dl);
       if (slot_stamp_[s] != stamp_) {
         slot_stamp_[s] = stamp_;
-        slot_index_[s] = static_cast<std::uint32_t>(residual_.size());
+        slot_index_[s] = static_cast<std::uint32_t>(residual.size());
         // A failed/drained link carries capacity 0 (or, defensively, a
         // negative value): its demands freeze at rate 0 in the first
-        // progressive-filling round below. Aborting here would kill a
-        // whole failure sweep because one flow crossed a dead link.
-        residual_.push_back(std::max(net.link(dl.link).capacity, 0.0));
-        unfrozen_.push_back(0);
+        // progressive-filling round. Aborting here would kill a whole
+        // failure sweep because one flow crossed a dead link.
+        fill_.active.push_back(slot_index_[s]);
+        residual.push_back(std::max(net.link(dl.link).capacity, 0.0));
+        unfrozen.push_back(0);
       }
-      ++unfrozen_[slot_index_[s]];
+      ++unfrozen[slot_index_[s]];
       ++total_entries;
     }
   }
-  const std::size_t touched = residual_.size();
+  const std::size_t touched = residual.size();
 
-  // Pass 2: CSR of flows per touched link. flow_offset_ doubles as the
-  // per-link write cursor during the fill and is rewound afterwards.
-  flow_offset_.assign(touched + 1, 0);
-  for (std::size_t i = 0; i < touched; ++i) {
-    flow_offset_[i + 1] = flow_offset_[i] + unfrozen_[i];
+  // Pass 2: CSR of flows per touched link, filled back to front so each
+  // offset ends at its link's first entry (entry order is immaterial).
+  flow_offset_.assign(touched + 1, static_cast<std::uint32_t>(total_entries));
+  for (std::size_t i = 0, end = 0; i < touched; ++i) {
+    end += unfrozen[i];
+    flow_offset_[i] = static_cast<std::uint32_t>(end);
   }
   link_flows_.resize(total_entries);
-  {
-    // Reuse to_freeze_ as the cursor array to avoid another allocation.
-    to_freeze_.assign(flow_offset_.begin(), flow_offset_.end() - 1);
-    for (std::size_t f = 0; f < n; ++f) {
-      for (net::DirectedLink dl : demands_[f]) {
-        const std::uint32_t i = slot_index_[slot(dl)];
-        link_flows_[to_freeze_[i]++] = static_cast<std::uint32_t>(f);
-      }
+  for (std::size_t f = 0; f < n; ++f) {
+    for (net::DirectedLink dl : demands_[f]) {
+      const std::uint32_t i = slot_index_[slot(dl)];
+      link_flows_[--flow_offset_[i]] = static_cast<std::uint32_t>(f);
     }
   }
 
-  frozen_.assign(n, 0);
-  active_links_.resize(touched);
-  for (std::size_t i = 0; i < touched; ++i) {
-    active_links_[i] = static_cast<std::uint32_t>(i);
-  }
-
-  while (remaining > 0) {
-    // Find the bottleneck: the smallest fair share among links that
-    // still carry unfrozen flows. The worklist holds exactly those, so
-    // no full-link rescan is needed.
-    double bottleneck_share = std::numeric_limits<double>::infinity();
-    for (std::uint32_t i : active_links_) {
-      const double share = residual_[i] / static_cast<double>(unfrozen_[i]);
-      bottleneck_share = std::min(bottleneck_share, share);
-    }
-    SBK_ASSERT_MSG(bottleneck_share < std::numeric_limits<double>::infinity(),
-                   "unfrozen flows must sit on at least one link");
-    bottleneck_share = std::max(bottleneck_share, 0.0);
-
-    // Freeze every unfrozen flow crossing a bottleneck link at that
-    // share. (Several links can bottleneck simultaneously at the same
-    // share.)
-    to_freeze_.clear();
-    for (std::uint32_t i : active_links_) {
-      const double share = residual_[i] / static_cast<double>(unfrozen_[i]);
-      if (share <= bottleneck_share * (1.0 + 1e-12) + 1e-15) {
+  fill_.frozen.assign(n, 0);
+  fill_.run(
+      remaining,
+      [this](std::uint32_t i, auto&& fn) {
         for (std::uint32_t e = flow_offset_[i]; e < flow_offset_[i + 1]; ++e) {
-          const std::uint32_t f = link_flows_[e];
-          if (!frozen_[f]) to_freeze_.push_back(f);
+          fn(link_flows_[e]);
         }
-      }
-    }
-    SBK_ASSERT(!to_freeze_.empty());
-    std::sort(to_freeze_.begin(), to_freeze_.end());
-    to_freeze_.erase(std::unique(to_freeze_.begin(), to_freeze_.end()),
-                     to_freeze_.end());
-
-    for (std::uint32_t f : to_freeze_) {
-      frozen_[f] = 1;
-      rate[f] = bottleneck_share;
-      --remaining;
-      for (net::DirectedLink dl : demands_[f]) {
-        const std::uint32_t i = slot_index_[slot(dl)];
-        residual_[i] -= bottleneck_share;
-        if (residual_[i] < 0.0) residual_[i] = 0.0;  // absorb fp noise
-        --unfrozen_[i];
-      }
-    }
-
-    // Drop exhausted links from the worklist.
-    active_links_.erase(
-        std::remove_if(active_links_.begin(), active_links_.end(),
-                       [this](std::uint32_t i) { return unfrozen_[i] == 0; }),
-        active_links_.end());
-  }
+      },
+      [this](std::uint32_t f, auto&& fn) {
+        for (net::DirectedLink dl : demands_[f]) fn(slot_index_[slot(dl)]);
+      },
+      [&rate](std::uint32_t f, double r) { rate[f] = r; });
 }
 
 std::vector<double> MaxMinSolver::solve(const net::Network& net,

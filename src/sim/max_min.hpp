@@ -9,11 +9,14 @@
 // across calls. See DESIGN.md ("MaxMinSolver data layout").
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "net/network.hpp"
+#include "util/assert.hpp"
 
 namespace sbk::sim {
 
@@ -22,6 +25,78 @@ namespace sbk::sim {
 /// be filtered by the caller.
 struct Demand {
   std::vector<net::DirectedLink> links;
+};
+
+/// Progressive-filling rounds over caller-chosen dense link and flow ids:
+/// the one implementation behind MaxMinSolver and IncrementalMaxMin,
+/// which differ only in how they find a link's flows and a flow's links.
+/// Before run(), every link id in `active` has residual = max(capacity,
+/// 0) and unfrozen = its crossing count (> 0), and every flow it will
+/// reach has frozen = 0. The scratch vectors keep their capacity.
+///
+/// No result depends on the order flows or links are visited in: the
+/// bottleneck is a min over doubles, the freeze set is fixed by the
+/// round-start residuals before any flow freezes, and every flow frozen
+/// in a round takes the same share off each link it crosses, so each
+/// link's residual sees the same subtractions in any order. Hence both
+/// callers agree bit for bit with max_min_rates_reference, which freezes
+/// in ascending flow order.
+struct ProgressiveFill {
+  std::vector<double> residual;          ///< per link: capacity - frozen
+  std::vector<std::uint32_t> unfrozen;   ///< per link: flows not yet fixed
+  std::vector<std::uint8_t> frozen;      ///< per flow
+  std::vector<std::uint32_t> active;     ///< links with unfrozen flows
+  std::vector<double> share;             ///< scratch, parallel to active
+  std::vector<std::uint32_t> bottlenecks;  ///< scratch, one round's links
+
+  /// Fixes `remaining` flows. flows_on(link, fn) calls fn(flow) for each
+  /// crossing of the link, links_of(flow, fn) calls fn(link) for each
+  /// crossing of the flow, and set_rate(flow, rate) hears each flow once.
+  template <typename FlowsOn, typename LinksOf, typename SetRate>
+  void run(std::size_t remaining, FlowsOn&& flows_on, LinksOf&& links_of,
+           SetRate&& set_rate) {
+    share.resize(active.size());
+    while (remaining > 0) {
+      // One pass drops exhausted links from the worklist, caches each
+      // survivor's fair share and takes their minimum.
+      double bottleneck_share = std::numeric_limits<double>::infinity();
+      std::size_t kept = 0;
+      for (std::uint32_t l : active) {
+        if (unfrozen[l] == 0) continue;
+        const double s = residual[l] / static_cast<double>(unfrozen[l]);
+        active[kept] = l;
+        share[kept++] = s;
+        bottleneck_share = std::min(bottleneck_share, s);
+      }
+      active.resize(kept);
+      SBK_ASSERT_MSG(
+          bottleneck_share < std::numeric_limits<double>::infinity(),
+          "unfrozen flows must sit on at least one link");
+      bottleneck_share = std::max(bottleneck_share, 0.0);
+
+      // Freeze every unfrozen flow crossing a bottleneck link at that
+      // share. (Several links can bottleneck at the same share.)
+      bottlenecks.clear();
+      const double freeze_at = bottleneck_share * (1.0 + 1e-12) + 1e-15;
+      for (std::size_t i = 0; i < kept; ++i) {
+        if (share[i] <= freeze_at) bottlenecks.push_back(active[i]);
+      }
+      SBK_ASSERT(!bottlenecks.empty());
+      for (std::uint32_t b : bottlenecks) {
+        flows_on(b, [&](std::uint32_t f) {
+          if (frozen[f]) return;
+          frozen[f] = 1;
+          set_rate(f, bottleneck_share);
+          --remaining;
+          links_of(f, [&](std::uint32_t l) {
+            residual[l] -= bottleneck_share;
+            if (residual[l] < 0.0) residual[l] = 0.0;  // absorb fp noise
+            --unfrozen[l];
+          });
+        });
+      }
+    }
+  }
 };
 
 /// Reusable progressive-filling solver. One instance amortizes its
@@ -71,16 +146,11 @@ class MaxMinSolver {
   std::vector<std::uint64_t> slot_stamp_;
   std::uint64_t stamp_ = 0;
 
-  // Per touched directed link, by compact index.
-  std::vector<double> residual_;         // capacity minus frozen rates
-  std::vector<std::uint32_t> unfrozen_;  // flows not yet fixed
+  // Filling state over compact touched-link indices and demand indices,
+  // plus the CSR of flows per touched link it walks.
+  ProgressiveFill fill_;
   std::vector<std::uint32_t> flow_offset_;  // CSR offsets into link_flows_
   std::vector<std::uint32_t> link_flows_;   // CSR payload: flow indices
-
-  // Progressive-filling worklists.
-  std::vector<std::uint32_t> active_links_;  // touched links, unfrozen > 0
-  std::vector<std::uint32_t> to_freeze_;
-  std::vector<std::uint8_t> frozen_;
 };
 
 /// One-shot convenience wrapper over MaxMinSolver (constructs a solver

@@ -25,7 +25,8 @@ namespace {
 using sim::IncrementalMaxMin;
 
 /// One alive flow in the churn driver. `live` stays in admission order
-/// (erase is order-preserving), matching the allocator's seq ordering.
+/// (erase is order-preserving); the allocator's rates must not depend on
+/// it, but the oracle is fed in that order.
 struct LiveFlow {
   IncrementalMaxMin::FlowSlot slot = IncrementalMaxMin::kNoSlot;
   std::vector<net::DirectedLink> links;
@@ -198,6 +199,130 @@ TEST(IncrementalMaxMin, PodLocalChurnResolvesOnlyThatPodsComponent) {
   for (std::size_t i = 0; i < pod1.size(); ++i) {
     EXPECT_EQ(inc.rate(pod1[i]), pod1_rates[i]);
   }
+}
+
+/// Checks every live flow's rate against the reference oracle, bit for
+/// bit (the oracle sees the flows in `live` order).
+void expect_matches_reference(const net::Network& net,
+                              const IncrementalMaxMin& inc,
+                              const std::vector<LiveFlow>& live) {
+  std::vector<sim::Demand> demands;
+  for (const LiveFlow& lf : live) demands.push_back(sim::Demand{lf.links});
+  const std::vector<double> want = sim::max_min_rates_reference(net, demands);
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(inc.rate(live[i].slot), want[i]) << "flow " << i;
+  }
+}
+
+TEST(IncrementalMaxMin, LinkAddedAfterBindGrowsScratch) {
+  // Structural surgery after bind() grows the directed-slot universe;
+  // the per-slot filling scratch must grow with it before a flow on a
+  // new link is solved.
+  topo::FatTree ft(topo::FatTreeParams{.k = 4});
+  net::Network& net = ft.network();
+  routing::EcmpRouter router(ft);
+  IncrementalMaxMin inc;
+  inc.bind(net);
+
+  std::vector<LiveFlow> live;
+  std::uint64_t id = 0;
+  auto add_routed = [&](int a, int b, std::vector<net::DirectedLink> pre) {
+    net::Path p = router.route(net, ft.host(a), ft.host(b), id++, nullptr);
+    EXPECT_FALSE(p.empty());
+    LiveFlow lf;
+    lf.links = std::move(pre);
+    for (net::DirectedLink dl : p.directed_links(net)) lf.links.push_back(dl);
+    lf.slot = inc.add_flow(lf.links);
+    live.push_back(std::move(lf));
+  };
+  add_routed(0, 5, {});
+  add_routed(1, 6, {});
+  add_routed(5, 7, {});
+  inc.solve();
+  expect_matches_reference(net, inc, live);
+
+  // Several new host-to-host links, enough to outgrow any slack in the
+  // slot arrays. Flows over them join the existing component through
+  // host 5's and host 6's uplinks.
+  std::vector<net::LinkId> added;
+  for (int i = 0; i < 8; ++i) {
+    added.push_back(net.add_link(ft.host(8 + i), ft.host(i % 4 == 0 ? 5 : 6),
+                                 0.25 + 0.125 * i));
+  }
+  for (int i = 0; i < 8; ++i) {
+    const net::NodeId from = ft.host(8 + i);
+    const int mid = i % 4 == 0 ? 5 : 6;
+    add_routed(mid, 7 - (i % 2), {net.directed(added[i], from)});
+  }
+  // A flow on a new link alone is its own component.
+  {
+    LiveFlow lf;
+    lf.links = {net.directed(added[3], ft.host(6))};
+    lf.slot = inc.add_flow(lf.links);
+    live.push_back(std::move(lf));
+  }
+  inc.solve();
+  expect_matches_reference(net, inc, live);
+
+  // Drain one new link and drop an old flow: both re-solve the shared
+  // component.
+  net.set_link_capacity(added[4], 0.0);
+  inc.note_topology_change();
+  inc.remove_flow(live[1].slot);
+  live.erase(live.begin() + 1);
+  inc.solve();
+  expect_matches_reference(net, inc, live);
+}
+
+TEST(IncrementalMaxMin, DrainedLinkAndFlowlessDirtySeed) {
+  topo::FatTree ft(topo::FatTreeParams{.k = 4});
+  net::Network& net = ft.network();
+  routing::EcmpRouter router(ft);
+  IncrementalMaxMin inc;
+  inc.bind(net);
+
+  // Pod-0 traffic only; pod 3's links carry nothing.
+  std::vector<LiveFlow> live;
+  std::uint64_t id = 0;
+  for (int a = 0; a < 4; ++a) {
+    for (int b = 0; b < 4; ++b) {
+      if (a == b) continue;
+      LiveFlow lf;
+      lf.links = router.route(net, ft.host(a), ft.host(b), id++, nullptr)
+                     .directed_links(net);
+      lf.slot = inc.add_flow(lf.links);
+      live.push_back(std::move(lf));
+    }
+  }
+  inc.solve();
+  expect_matches_reference(net, inc, live);
+  const std::size_t solves_before = inc.solves();
+
+  // Draining an idle link seeds two dirty slots with no flow on them:
+  // the closure is empty and nothing is re-solved.
+  const net::LinkId idle =
+      router.route(net, ft.host(15), ft.host(14), id++, nullptr)
+          .directed_links(net)
+          .front()
+          .link;
+  net.set_link_capacity(idle, 0.0);
+  inc.note_topology_change();
+  EXPECT_TRUE(inc.dirty());
+  inc.solve();
+  EXPECT_FALSE(inc.dirty());
+  EXPECT_EQ(inc.solves(), solves_before);
+  expect_matches_reference(net, inc, live);
+
+  // Drain a loaded link alongside another flowless seed: its flows
+  // freeze at rate 0 and the rest of the component takes the slack.
+  const net::LinkId loaded = live[0].links.front().link;
+  net.set_link_capacity(loaded, 0.0);
+  net.set_link_capacity(idle, 1.0);
+  inc.note_topology_change();
+  inc.solve();
+  EXPECT_EQ(inc.solves(), solves_before + 1);
+  EXPECT_EQ(inc.rate(live[0].slot), 0.0);
+  expect_matches_reference(net, inc, live);
 }
 
 /// Builds the identical scenario twice and diffs the FlowResults of the
