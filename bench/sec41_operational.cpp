@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   sharebackup::Fabric fabric(fp);
   sim::EventQueue q;
   control::ControlPlaneConfig cfg;
-  cfg.detector.probe_interval = milliseconds(1);
+  cfg.timing.probe_interval = milliseconds(1);
   cfg.diagnosis_delay = 0.2;
   control::ControlPlane plane(fabric, q, cfg);
   plane.start(horizon);

@@ -48,10 +48,9 @@ int main(int argc, char** argv) {
     fp.fat_tree.k = 4;
     fp.backups_per_group = 1;
     sharebackup::Fabric fabric(fp);
-    control::Controller ctrl(fabric, control::ControllerConfig{});
+    control::Controller ctrl(fabric, control::ControllerConfig{}, p);
     sim::EventQueue q;
-    control::FailureDetector det(q, fabric.network(),
-                                 control::DetectorConfig{});
+    control::FailureDetector det(q, fabric.network(), p);
     topo::SwitchPosition pos{topo::Layer::kCore, -1,
                              static_cast<int>(rng.uniform_index(4))};
     net::NodeId victim = fabric.node_at(pos);

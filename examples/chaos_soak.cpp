@@ -85,9 +85,10 @@ int main(int argc, char** argv) {
   // Merged recorder: big enough to keep every scenario's events (the
   // per-scenario rings already bound each contribution).
   sbk::obs::FlightRecorder trace(
-      /*enabled=*/true, sinks.recorder_capacity * cfg.scenarios);
+      /*enabled=*/true,
+      sbk::sweep::SweepSinks::kRecorderCapacity * cfg.scenarios);
   sbk::obs::TelemetryTable telemetry(/*enabled=*/true);
-  sbk::obs::slo::SloMonitor monitor = sbk::faultinject::make_chaos_slo(cfg);
+  sbk::obs::slo::SloMonitor monitor = sbk::faultinject::make_chaos_slo();
   sbk::obs::slo::HealthLog health;
   if (!trace_path.empty() || !telemetry_path.empty()) {
     sinks.recorder = &trace;
@@ -120,9 +121,10 @@ int main(int argc, char** argv) {
               << telemetry_path << "\n";
   }
   if (slo) {
-    std::cout << "slo: recovery_latency p99 < "
-              << cfg.obs.recovery_latency_bound * 1e3 << " ms-equivalent"
-              << " (budget " << cfg.obs.recovery_budget << "): attainment "
+    const sbk::obs::slo::SloObjectiveConfig& objective = monitor.objective(0);
+    std::cout << "slo: recovery_latency p99 < " << objective.threshold * 1e3
+              << " ms-equivalent (budget " << objective.budget
+              << "): attainment "
               << monitor.attainment(0) << " over "
               << monitor.good_total(0) + monitor.bad_total(0)
               << " recoveries, " << monitor.breach_count(0) << " breaches, "

@@ -38,11 +38,13 @@ int main(int argc, char** argv) {
   params.fat_tree.k = 6;
   params.backups_per_group = 2;
   sharebackup::Fabric fabric(params);
-  control::Controller controller(fabric, control::ControllerConfig{});
+  // One §5.3 timing model drives detection, the controller's control
+  // path and the model the traced timeline is checked against below.
+  const control::LatencyModelParams timing;
+  control::Controller controller(fabric, control::ControllerConfig{}, timing);
   sim::EventQueue queue;
-  const control::DetectorConfig detector_config;
   const control::ClusterConfig cluster_config;
-  control::FailureDetector detector(queue, fabric.network(), detector_config);
+  control::FailureDetector detector(queue, fabric.network(), timing);
   control::ControllerCluster cluster(queue, cluster_config);
 
   // The ring holds the whole drill: one queue dispatch span per probe of
@@ -56,7 +58,7 @@ int main(int argc, char** argv) {
   const std::size_t watched = fabric.fat_tree().all_switches().size() +
                               fabric.network().link_count();
   const std::size_t trace_capacity =
-      watched * ticks(detector_config.probe_interval) +
+      watched * ticks(timing.probe_interval) +
       ticks(cluster_config.heartbeat_interval) + 4096;
 
   obs::RecoveryTracer tracer;
@@ -232,9 +234,8 @@ int main(int argc, char** argv) {
   // component model: the measured control path must equal the modeled
   // notification + decision, the circuit reset must match the
   // technology's latency, and detection must not exceed the worst case.
-  control::LatencyModelParams model_params;
   control::LatencyBreakdown model =
-      control::sharebackup_latency(model_params, fabric.technology());
+      control::sharebackup_latency(timing, fabric.technology());
   const obs::RecoveryIncident* core_inc = nullptr;
   std::string core_elem =
       obs::element_for_node(fabric.network().node(core).name);

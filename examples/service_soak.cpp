@@ -229,8 +229,8 @@ PassResult run_pass(const std::vector<svc::ServiceMessage>& stream, int k,
     // Cluster timings scale with the stream so the detection + election
     // window is the same fraction of the soak at every --time-scale:
     // plan-time heartbeat 10 ms / miss 3 / election 5 ms gives an
-    // election bound of 45 ms plan-time — exactly the FaultPlanConfig
-    // cluster_election_bound default the scripted scenarios aim inside.
+    // election bound of 45 ms plan-time — exactly the default
+    // ClusterConfig{}.election_bound() the scripted scenarios aim inside.
     rcfg.cluster.heartbeat_interval = 0.01 * time_scale;
     rcfg.cluster.miss_threshold = 3;
     rcfg.cluster.election_duration = 0.005 * time_scale;
@@ -471,7 +471,7 @@ int main(int argc, char** argv) {
             open = breach;
             continue;
           }
-          if (at > t + scfg.slo.window) break;
+          if (at > t + svc::ServiceSloConfig::kWindow) break;
           if (breach) detected = true;
         }
         if (!open && !detected) slo_detect_ok = false;

@@ -7,8 +7,8 @@ namespace sbk::control {
 ControlPlane::ControlPlane(sharebackup::Fabric& fabric,
                            sim::EventQueue& queue, ControlPlaneConfig config)
     : fabric_(&fabric), queue_(&queue), config_(config),
-      controller_(fabric, config.controller),
-      detector_(queue, fabric.network(), config.detector),
+      controller_(fabric, config.controller, config.timing),
+      detector_(queue, fabric.network(), config.timing, config.detector),
       cluster_(queue, config.cluster) {
   controller_.set_retry_listener(
       [this](const RecoveryOutcome& out, std::optional<net::NodeId> node,

@@ -34,6 +34,9 @@
 namespace sbk::control {
 
 struct ControlPlaneConfig {
+  /// The one §5.3 timing model: the detector probes on it and the
+  /// controller charges its control path from it.
+  LatencyModelParams timing;
   ControllerConfig controller;
   DetectorConfig detector;
   ClusterConfig cluster;

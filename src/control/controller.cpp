@@ -14,16 +14,26 @@ using sharebackup::Fabric;
 using sharebackup::InterfaceRef;
 using sharebackup::SwitchPosition;
 
-Controller::Controller(Fabric& fabric, ControllerConfig config)
-    : fabric_(&fabric), config_(config), engine_(fabric) {
-  SBK_EXPECTS(config_.probe_interval > 0.0);
-  SBK_EXPECTS(config_.miss_threshold >= 1);
+namespace {
+/// Re-sends of a reconfiguration command after the first attempt before
+/// the controller stops waiting on hardware and degrades to rerouting.
+constexpr int kCommandMaxRetries = 4;
+/// Latency charged for a command whose ack never arrives.
+constexpr Seconds kCommandTimeout = milliseconds(1);
+/// Capped exponential retry backoff: doubles per retry up to the cap.
+constexpr Seconds kRetryBackoffInitial = microseconds(200);
+constexpr Seconds kRetryBackoffCap = milliseconds(2);
+/// Upstream forwarding-rule updates charged to a degraded recovery (the
+/// §5.3 global-reroute path taken when no backup can be installed).
+constexpr int kDegradedRuleUpdates = 2;
+}  // namespace
+
+Controller::Controller(Fabric& fabric, ControllerConfig config,
+                       LatencyModelParams timing)
+    : fabric_(&fabric), config_(config), timing_(timing), engine_(fabric) {
+  SBK_EXPECTS(timing_.probe_interval > 0.0);
+  SBK_EXPECTS(timing_.miss_threshold >= 1);
   SBK_EXPECTS(config_.watchdog_threshold >= 1);
-  SBK_EXPECTS(config_.command_max_retries >= 0);
-  SBK_EXPECTS(config_.command_timeout >= 0.0);
-  SBK_EXPECTS(config_.retry_backoff_initial >= 0.0);
-  SBK_EXPECTS(config_.retry_backoff_cap >= config_.retry_backoff_initial);
-  SBK_EXPECTS(config_.degraded_rule_updates >= 0);
 }
 
 void Controller::attach_metrics(obs::MetricsRegistry* metrics) {
@@ -50,11 +60,12 @@ std::size_t Controller::trace_recovery(const std::string& element,
     return obs::RecoveryTracer::kNoIncident;
   }
   std::size_t inc = tracer_->ensure_incident(element, now_);
-  Seconds report_done = now_ + config_.report_latency;
+  Seconds report_done = now_ + timing_.control_channel_one_way;
   tracer_->add_span(inc, "notification", now_, report_done);
-  Seconds decided = report_done + config_.processing_latency;
+  Seconds decided = report_done + timing_.controller_processing;
   tracer_->add_span(inc, "decision", report_done, decided);
-  Seconds commanded = decided + config_.command_latency + command_penalty;
+  Seconds commanded =
+      decided + timing_.control_channel_one_way + command_penalty;
   tracer_->add_span(inc, "command", decided, commanded);
   Seconds reconfigured =
       commanded + sharebackup::reconfiguration_latency(fabric_->technology());
@@ -68,27 +79,19 @@ std::size_t Controller::trace_recovery(const std::string& element,
 }
 
 Seconds Controller::control_path_latency() const {
-  return config_.report_latency + config_.processing_latency +
-         config_.command_latency +
+  // Report hop, decision, command hop, circuit reset — summed in span
+  // order, so the latency equals the traced reconfiguration end.
+  return timing_.control_channel_one_way + timing_.controller_processing +
+         timing_.control_channel_one_way +
          sharebackup::reconfiguration_latency(fabric_->technology());
 }
 
 Seconds Controller::end_to_end_recovery_latency() const {
-  // Worst-case detection: the element dies right after a probe, and
-  // miss_threshold consecutive probes must be missed.
-  Seconds detection =
-      static_cast<double>(config_.miss_threshold) * config_.probe_interval;
-  return detection + control_path_latency();
+  return timing_.detection() + control_path_latency();
 }
 
 Seconds Controller::degraded_reroute_latency() const {
-  LatencyModelParams p;
-  p.probe_interval = config_.probe_interval;
-  p.miss_threshold = config_.miss_threshold;
-  p.control_channel_one_way = config_.report_latency;
-  p.controller_processing = config_.processing_latency;
-  LatencyBreakdown b =
-      global_reroute_latency(p, config_.degraded_rule_updates);
+  LatencyBreakdown b = global_reroute_latency(timing_, kDegradedRuleUpdates);
   // Detection already happened by the time recovery degrades; charge
   // only the post-detection reroute pipeline.
   return b.total() - b.detection;
@@ -97,9 +100,9 @@ Seconds Controller::degraded_reroute_latency() const {
 Controller::CommandOutcome Controller::execute_failover(
     sharebackup::SwitchPosition pos) {
   CommandOutcome co;
-  Seconds backoff = config_.retry_backoff_initial;
+  Seconds backoff = kRetryBackoffInitial;
   bool applied = false;
-  for (int attempt = 0; attempt <= config_.command_max_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kCommandMaxRetries; ++attempt) {
     CommandStatus st = command_fault_ ? command_fault_(pos, attempt)
                                       : CommandStatus::kAck;
     bool applies = st == CommandStatus::kAck ||
@@ -137,11 +140,11 @@ Controller::CommandOutcome Controller::execute_failover(
     // No ack this round: charge the penalty, back off, re-send.
     ++co.retries;
     co.retry_penalty += st == CommandStatus::kNack
-                            ? 2.0 * config_.command_latency
-                            : config_.command_timeout;
-    if (attempt < config_.command_max_retries) {
+                            ? 2.0 * timing_.control_channel_one_way
+                            : kCommandTimeout;
+    if (attempt < kCommandMaxRetries) {
       co.retry_penalty += backoff;
-      backoff = std::min(2.0 * backoff, config_.retry_backoff_cap);
+      backoff = std::min(2.0 * backoff, kRetryBackoffCap);
     }
   }
   if (applied) {

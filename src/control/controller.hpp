@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "control/diagnosis.hpp"
+#include "control/recovery_latency.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recovery_tracer.hpp"
@@ -34,36 +35,15 @@
 
 namespace sbk::control {
 
+/// The controller's own policy knobs. Its timing (probe cadence, the
+/// control-channel hop, decision time) is not here: that is the one
+/// LatencyModelParams handed to the constructor, shared with the
+/// FailureDetector when a ControlPlane assembles both.
 struct ControllerConfig {
-  /// Keep-alive / link-probe interval (same as F10 and Aspen Tree, §5.3).
-  Seconds probe_interval = milliseconds(1);
-  /// Consecutive misses before a failure is declared.
-  int miss_threshold = 3;
-  /// One-way switch-to-controller report latency ("sub-ms with an
-  /// efficient kernel-module implementation", §5.3).
-  Seconds report_latency = microseconds(100);
-  /// Controller decision time per failure event.
-  Seconds processing_latency = microseconds(50);
-  /// One-way controller-to-circuit-switch command latency.
-  Seconds command_latency = microseconds(100);
   /// Link-failure reports attributable to one circuit switch within the
   /// window before recovery halts and humans are paged (§5.1).
   std::size_t watchdog_threshold = 4;
   Seconds watchdog_window = 1.0;
-
-  // --- reconfiguration-command reliability -------------------------------
-  /// Re-sends of a reconfiguration command after the first attempt before
-  /// the controller stops waiting on hardware and degrades to rerouting.
-  int command_max_retries = 4;
-  /// Latency charged for a command whose ack never arrives.
-  Seconds command_timeout = milliseconds(1);
-  /// Retry backoff: starts at the initial value, doubles per retry, and
-  /// is capped (capped exponential backoff).
-  Seconds retry_backoff_initial = microseconds(200);
-  Seconds retry_backoff_cap = milliseconds(2);
-  /// Upstream forwarding-rule updates charged to a degraded recovery (the
-  /// §5.3 global-reroute path taken when no backup can be installed).
-  int degraded_rule_updates = 2;
 };
 
 /// Outcome of delivering one reconfiguration command to the failure
@@ -132,10 +112,16 @@ struct ControllerStats {
 
 class Controller {
  public:
-  Controller(sharebackup::Fabric& fabric, ControllerConfig config);
+  Controller(sharebackup::Fabric& fabric, ControllerConfig config,
+             LatencyModelParams timing = {});
 
   [[nodiscard]] const ControllerConfig& config() const noexcept {
     return config_;
+  }
+  /// The §5.3 timing every control-path span and latency is charged
+  /// from.
+  [[nodiscard]] const LatencyModelParams& timing() const noexcept {
+    return timing_;
   }
 
   // --- failure handling ------------------------------------------------------
@@ -243,9 +229,10 @@ class Controller {
     return audit_dropped_;
   }
 
-  /// End-to-end recovery latency for one failure under this config:
+  /// End-to-end recovery latency for one failure under timing():
   /// detection (worst-case probe misses) + report + processing + command
-  /// + circuit reconfiguration.
+  /// + circuit reconfiguration: sharebackup_latency(timing(), technology)
+  /// total, up to floating-point summation order.
   [[nodiscard]] Seconds end_to_end_recovery_latency() const;
 
   /// Advances the watchdog's notion of time (reports are timestamped with
@@ -336,6 +323,7 @@ class Controller {
 
   sharebackup::Fabric* fabric_;
   ControllerConfig config_;
+  LatencyModelParams timing_;
   DiagnosisEngine engine_;
   std::deque<PendingDiagnosis> diagnosis_queue_;
   std::vector<sharebackup::SwitchPosition> pending_nodes_;

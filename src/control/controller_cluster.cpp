@@ -165,6 +165,14 @@ std::optional<std::size_t> ControllerCluster::primary() const {
   return std::nullopt;
 }
 
+std::optional<std::size_t> ControllerCluster::acting_member() const {
+  if (std::optional<std::size_t> p = primary()) return p;
+  for (std::size_t i = alive_.size(); i-- > 0;) {
+    if (alive_[i]) return i;
+  }
+  return std::nullopt;
+}
+
 bool ControllerCluster::member_alive(std::size_t id) const {
   SBK_EXPECTS(id < alive_.size());
   return alive_[id];

@@ -64,6 +64,11 @@ class ControllerCluster {
   void repair_member(std::size_t id);
 
   [[nodiscard]] std::optional<std::size_t> primary() const;
+  /// The live primary, else the highest live member (the imminent
+  /// election winner); nullopt when all are dead. ControlPlane's chaos
+  /// injector and the replicated service both aim a "crash whoever
+  /// acts" fault at this member.
+  [[nodiscard]] std::optional<std::size_t> acting_member() const;
   [[nodiscard]] bool member_alive(std::size_t id) const;
   [[nodiscard]] std::size_t member_count() const noexcept {
     return alive_.size();

@@ -6,16 +6,17 @@ namespace sbk::control {
 
 FailureDetector::FailureDetector(sim::EventQueue& queue,
                                  const net::Network& net,
+                                 LatencyModelParams timing,
                                  DetectorConfig config)
-    : queue_(&queue), net_(&net), config_(config) {
-  SBK_EXPECTS(config_.probe_interval > 0.0);
-  SBK_EXPECTS(config_.miss_threshold >= 1);
+    : queue_(&queue), net_(&net), timing_(timing), config_(config) {
+  SBK_EXPECTS(timing_.probe_interval > 0.0);
+  SBK_EXPECTS(timing_.miss_threshold >= 1);
   SBK_EXPECTS(config_.phase >= 0.0);
   SBK_EXPECTS(config_.report_retry_interval >= 0.0);
 }
 
 bool FailureDetector::report_due(const WatchState& w) const {
-  if (w.misses < config_.miss_threshold) return false;
+  if (w.misses < timing_.miss_threshold) return false;
   if (!w.reported) return true;
   // Already reported: re-report a still-failed element periodically so a
   // lost report does not strand the failure forever.
@@ -55,7 +56,7 @@ void FailureDetector::watch_node(net::NodeId node, Seconds horizon) {
   w.reported = false;
   w.horizon = horizon;
   if (w.chain_scheduled) return;  // reuse the existing probe chain
-  Seconds first = queue_->now() + config_.phase + config_.probe_interval;
+  Seconds first = queue_->now() + config_.phase + timing_.probe_interval;
   if (first <= horizon) {
     w.chain_scheduled = true;
     queue_->schedule_at(first, [this, node] { probe_node(node); });
@@ -68,7 +69,7 @@ void FailureDetector::watch_link(net::LinkId link, Seconds horizon) {
   w.reported = false;
   w.horizon = horizon;
   if (w.chain_scheduled) return;  // reuse the existing probe chain
-  Seconds first = queue_->now() + config_.phase + config_.probe_interval;
+  Seconds first = queue_->now() + config_.phase + timing_.probe_interval;
   if (first <= horizon) {
     w.chain_scheduled = true;
     queue_->schedule_at(first, [this, link] { probe_link(link); });
@@ -99,7 +100,7 @@ void FailureDetector::probe_node(net::NodeId node) {
   }
   // Re-read the state: the callback may have re-watched or re-armed.
   WatchState& w2 = node_watch_[node];
-  Seconds next = queue_->now() + config_.probe_interval;
+  Seconds next = queue_->now() + timing_.probe_interval;
   if (next <= w2.horizon) {
     queue_->schedule_at(next, [this, node] { probe_node(node); });
   } else {
@@ -136,7 +137,7 @@ void FailureDetector::probe_link(net::LinkId link) {
     w.misses = 0;
   }
   WatchState& w2 = link_watch_[link];
-  Seconds next = queue_->now() + config_.probe_interval;
+  Seconds next = queue_->now() + timing_.probe_interval;
   if (next <= w2.horizon) {
     queue_->schedule_at(next, [this, link] { probe_link(link); });
   } else {
@@ -151,7 +152,7 @@ void FailureDetector::rearm_node(net::NodeId node) {
   w.misses = 0;
   w.reported = false;
   if (!w.chain_scheduled) {
-    Seconds next = queue_->now() + config_.probe_interval;
+    Seconds next = queue_->now() + timing_.probe_interval;
     if (next <= w.horizon) {
       w.chain_scheduled = true;
       queue_->schedule_at(next, [this, node] { probe_node(node); });
@@ -166,7 +167,7 @@ void FailureDetector::rearm_link(net::LinkId link) {
   w.misses = 0;
   w.reported = false;
   if (!w.chain_scheduled) {
-    Seconds next = queue_->now() + config_.probe_interval;
+    Seconds next = queue_->now() + timing_.probe_interval;
     if (next <= w.horizon) {
       w.chain_scheduled = true;
       queue_->schedule_at(next, [this, link] { probe_link(link); });

@@ -2,7 +2,8 @@
 // messages to the controller every probe interval; adjacent devices probe
 // their links the same way (the F10 rapid-detection mechanism the paper
 // adopts). A failure is declared after `miss_threshold` consecutive
-// missed probes, and the registered callback fires with the detection
+// missed probes (interval and threshold come from the LatencyModelParams
+// timing model), and the registered callback fires with the detection
 // timestamp — which the recovery-latency experiments compare against the
 // injection timestamp.
 //
@@ -25,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "control/recovery_latency.hpp"
 #include "net/ids.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
@@ -34,9 +36,9 @@
 
 namespace sbk::control {
 
+/// Detector-only knobs. The probe interval and miss threshold are the
+/// LatencyModelParams the detector is constructed with.
 struct DetectorConfig {
-  Seconds probe_interval = milliseconds(1);
-  int miss_threshold = 3;
   /// Phase offset of the first probe (probes at phase, phase+interval, ...).
   Seconds phase = 0.0;
   /// Re-report a still-failed element every this many seconds after the
@@ -52,7 +54,7 @@ struct DetectorConfig {
 class FailureDetector {
  public:
   FailureDetector(sim::EventQueue& queue, const net::Network& net,
-                  DetectorConfig config);
+                  LatencyModelParams timing, DetectorConfig config = {});
 
   /// Starts watching a node / link. Probing events are scheduled up to
   /// `horizon`. Watching an already-watched element resets its counters
@@ -104,6 +106,7 @@ class FailureDetector {
 
   sim::EventQueue* queue_;
   const net::Network* net_;
+  LatencyModelParams timing_;
   DetectorConfig config_;
   std::unordered_map<net::NodeId, WatchState> node_watch_;
   std::unordered_map<net::LinkId, WatchState> link_watch_;

@@ -7,9 +7,8 @@
 namespace sbk::control {
 
 namespace {
-Seconds detection_time(const LatencyModelParams& p) {
-  return static_cast<double>(p.miss_threshold) * p.probe_interval;
-}
+/// Local rerouting decision on the switch data plane.
+constexpr Seconds kLocalDecision = microseconds(10);
 }  // namespace
 
 LatencyBreakdown sharebackup_latency(const LatencyModelParams& p,
@@ -18,7 +17,7 @@ LatencyBreakdown sharebackup_latency(const LatencyModelParams& p,
   b.scheme = tech == sharebackup::CircuitTechnology::kElectricalCrosspoint
                  ? "sharebackup-crosspoint"
                  : "sharebackup-mems";
-  b.detection = detection_time(p);
+  b.detection = p.detection();
   // Report to the controller, then command to the circuit switches.
   b.notification = 2.0 * p.control_channel_one_way;
   b.decision = p.controller_processing;
@@ -30,10 +29,10 @@ LatencyBreakdown local_reroute_latency(const LatencyModelParams& p,
                                        const std::string& scheme) {
   LatencyBreakdown b;
   b.scheme = scheme;
-  b.detection = detection_time(p);
+  b.detection = p.detection();
   b.notification = 0.0;  // the adjacent switch acts on its own
-  b.decision = p.local_decision;
-  b.reconfiguration = p.sdn_rule_update;  // >= 1 rule change
+  b.decision = kLocalDecision;
+  b.reconfiguration = LatencyModelParams::kSdnRuleUpdate;  // >= 1 rule
   return b;
 }
 
@@ -47,25 +46,25 @@ LatencyBreakdown global_reroute_latency(const LatencyModelParams& p,
   rule_updates = std::max(rule_updates, 1);
   LatencyBreakdown b;
   b.scheme = "fat-tree-global";
-  b.detection = detection_time(p);
+  b.detection = p.detection();
   b.notification = 2.0 * p.control_channel_one_way;
   b.decision = p.controller_processing;
   // Upstream repair: rules must change at several switches; installs
   // proceed in parallel across switches but the controller issues them
   // sequentially per switch — we charge one SDN update end-to-end plus a
   // per-extra-switch issuing overhead.
-  b.reconfiguration = p.sdn_rule_update +
+  b.reconfiguration = LatencyModelParams::kSdnRuleUpdate +
                       static_cast<double>(rule_updates - 1) *
-                          (p.sdn_rule_update * 0.1);
+                          (LatencyModelParams::kSdnRuleUpdate * 0.1);
   return b;
 }
 
 LatencyBreakdown spider_protect_latency(const LatencyModelParams& p) {
   LatencyBreakdown b;
   b.scheme = "spider-protect";
-  b.detection = detection_time(p);
+  b.detection = p.detection();
   b.notification = 0.0;       // stateful failover at the detecting switch
-  b.decision = p.local_decision;
+  b.decision = kLocalDecision;
   b.reconfiguration = 0.0;    // detour rules pre-installed: 0 rule updates
   return b;
 }
@@ -77,9 +76,9 @@ LatencyBreakdown backup_rules_latency(const LatencyModelParams& p,
                   "fallback_fraction is a probability");
   LatencyBreakdown fast;
   fast.scheme = "backup-rules";
-  fast.detection = detection_time(p);
+  fast.detection = p.detection();
   fast.notification = 0.0;    // backup next-hop already in the table
-  fast.decision = p.local_decision;
+  fast.decision = kLocalDecision;
   fast.reconfiguration = 0.0;
   if (fallback_fraction == 0.0) return fast;
   const LatencyBreakdown slow =

@@ -26,17 +26,27 @@ struct LatencyBreakdown {
   }
 };
 
+/// The §5.3 timing model and the one home of the control stack's timing:
+/// a ControlPlane's FailureDetector probes on it, its Controller charges
+/// its control path from it, and the functions below derive from it.
 struct LatencyModelParams {
+  /// Keep-alive / link-probe interval (same as F10 and Aspen Tree, §5.3).
   Seconds probe_interval = milliseconds(1);
+  /// Consecutive missed probes before a failure is declared.
   int miss_threshold = 3;
-  /// One-way switch->controller and controller->circuit-switch latency
-  /// (sub-ms, §5.3).
+  /// One-way control-channel hop, paid twice: the switch->controller
+  /// report and the controller->circuit-switch command (sub-ms, §5.3).
   Seconds control_channel_one_way = microseconds(100);
+  /// Controller decision time per failure event.
   Seconds controller_processing = microseconds(50);
   /// SDN forwarding-rule modification latency (~1 ms, [17]).
-  Seconds sdn_rule_update = milliseconds(1);
-  /// Local rerouting decision on the switch data plane.
-  Seconds local_decision = microseconds(10);
+  static constexpr Seconds kSdnRuleUpdate = milliseconds(1);
+
+  /// Worst-case detection: the element dies right after a probe, and
+  /// miss_threshold consecutive probes must be missed.
+  [[nodiscard]] Seconds detection() const noexcept {
+    return static_cast<double>(miss_threshold) * probe_interval;
+  }
 };
 
 /// ShareBackup end-to-end recovery for the given circuit technology.

@@ -14,6 +14,17 @@ namespace sbk::faultinject {
 using sharebackup::DeviceState;
 using sharebackup::DeviceUid;
 
+namespace {
+// Control-channel faults inside the fault window. A delayed report
+// waits up to kReportDelayMax, long enough to reorder reports.
+constexpr double kReportLossProb = 0.15;
+constexpr double kReportDelayProb = 0.25;
+constexpr Seconds kReportDelayMax = milliseconds(2);
+constexpr double kCommandNackProb = 0.08;
+constexpr double kCommandTimeoutLostProb = 0.05;
+constexpr double kCommandTimeoutAppliedProb = 0.05;
+}  // namespace
+
 ChaosInjector::ChaosInjector(sharebackup::Fabric& fabric,
                              control::ControlPlane& plane,
                              sim::EventQueue& queue, const FaultPlan& plan)
@@ -47,24 +58,24 @@ void ChaosInjector::arm() {
 
   // Control-channel fault hooks (quiet once the fault window closes).
   plane_->set_report_fault_hook(
-      [this, cfg](bool, std::uint64_t, Seconds) -> std::optional<Seconds> {
+      [this](bool, std::uint64_t, Seconds) -> std::optional<Seconds> {
         if (!faults_active()) return 0.0;
-        if (report_rng_.bernoulli(cfg.report_loss_prob)) return std::nullopt;
-        if (report_rng_.bernoulli(cfg.report_delay_prob)) {
-          return report_rng_.uniform_real(1e-5, cfg.report_delay_max);
+        if (report_rng_.bernoulli(kReportLossProb)) return std::nullopt;
+        if (report_rng_.bernoulli(kReportDelayProb)) {
+          return report_rng_.uniform_real(1e-5, kReportDelayMax);
         }
         return 0.0;
       });
   plane_->controller().set_command_fault_hook(
-      [this, cfg](sharebackup::SwitchPosition, int) -> control::CommandStatus {
+      [this](sharebackup::SwitchPosition, int) -> control::CommandStatus {
         if (!faults_active()) return control::CommandStatus::kAck;
         double u = command_rng_.uniform_real(0.0, 1.0);
-        if (u < cfg.command_nack_prob) return control::CommandStatus::kNack;
-        if (u < cfg.command_nack_prob + cfg.command_timeout_lost_prob) {
+        if (u < kCommandNackProb) return control::CommandStatus::kNack;
+        if (u < kCommandNackProb + kCommandTimeoutLostProb) {
           return control::CommandStatus::kTimeoutLost;
         }
-        if (u < cfg.command_nack_prob + cfg.command_timeout_lost_prob +
-                    cfg.command_timeout_applied_prob) {
+        if (u < kCommandNackProb + kCommandTimeoutLostProb +
+                    kCommandTimeoutAppliedProb) {
           return control::CommandStatus::kTimeoutApplied;
         }
         return control::CommandStatus::kAck;
@@ -80,12 +91,12 @@ void ChaosInjector::arm() {
     queue_->schedule_at(ev.at, [this, ev] { crash_controller(ev); });
   }
 
-  for (Seconds t = cfg.repair_interval; t <= cfg.horizon;
-       t += cfg.repair_interval) {
+  for (Seconds t = FaultPlanConfig::kRepairInterval; t <= cfg.horizon;
+       t += FaultPlanConfig::kRepairInterval) {
     queue_->schedule_at(t, [this] { repair_tick(); });
   }
-  for (Seconds t = cfg.operator_interval; t <= cfg.horizon;
-       t += cfg.operator_interval) {
+  for (Seconds t = FaultPlanConfig::kOperatorInterval; t <= cfg.horizon;
+       t += FaultPlanConfig::kOperatorInterval) {
     queue_->schedule_at(t, [this] { operator_tick(); });
   }
   // Settle-tail sweeps: with hooks quiet, parked work should drain.
@@ -113,11 +124,15 @@ void ChaosInjector::inject_link_failure(const LinkFailureEvent& ev) {
 
 void ChaosInjector::crash_controller(const ControllerCrashEvent& ev) {
   control::ControllerCluster& cluster = plane_->cluster();
-  // Crash the acting primary when there is one (maximally disruptive);
-  // otherwise the planned member.
-  std::size_t m = cluster.primary().value_or(
-      ev.member % cluster.member_count());
-  if (!cluster.member_alive(m)) return;
+  // kPrimaryMember crashes whoever acts (the seated primary, or the
+  // imminent election winner); a planned member id crashes the primary
+  // when there is one (maximally disruptive), otherwise that member.
+  const std::optional<std::size_t> target =
+      ev.member == kPrimaryMember
+          ? cluster.acting_member()
+          : cluster.primary().value_or(ev.member % cluster.member_count());
+  if (!target.has_value() || !cluster.member_alive(*target)) return;
+  const std::size_t m = *target;
   cluster.fail_member(m);
   queue_->schedule_at(ev.repair_at, [this, m] {
     control::ControllerCluster& c = plane_->cluster();

@@ -110,7 +110,6 @@ ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
   const bool sampling = sampler != nullptr && sampler->enabled();
   if (sampling) {
     const net::Network& net = fabric.network();
-    const double links = static_cast<double>(net.link_count());
     sampler->add_probe("queue.pending", [&queue] {
       return static_cast<double>(queue.pending());
     });
@@ -120,9 +119,8 @@ ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
     // The soak carries no traffic, so the utilization analog is the
     // fraction of packet links currently alive: it dips on injections
     // and restores as recoveries land.
-    sampler->add_probe("net.live_link_frac", [&net, links] {
-      return 1.0 - static_cast<double>(net.failed_link_count()) / links;
-    });
+    sampler->add_probe("net.live_link_frac",
+                       [&net] { return net.live_link_fraction(); });
     sampler->add_probe("controller.pending_diagnosis", [&plane] {
       return static_cast<double>(plane.controller().pending_diagnosis());
     });
@@ -223,31 +221,10 @@ ChaosScenarioResult run_chaos_scenario(const ChaosSoakConfig& config,
     snap.at = config.plan.horizon;
     snap.processed = recovery_hist.count();
     snap.spare_pool = fabric.total_spares();
-    const double links = static_cast<double>(fabric.network().link_count());
-    snap.live_link_frac =
-        links > 0.0 ? 1.0 - static_cast<double>(
-                                fabric.network().failed_link_count()) /
-                                links
-                    : 1.0;
-    obs::slo::HealthHistogramStat hs;
-    hs.name = "recovery_latency";
-    hs.count = recovery_hist.count();
-    hs.p50 = recovery_hist.quantile(0.5);
-    hs.p99 = recovery_hist.quantile(0.99);
-    hs.p999 = recovery_hist.quantile(0.999);
-    hs.max = recovery_hist.max();
-    snap.histograms.push_back(std::move(hs));
-    for (std::size_t i = 0; i < slo->objective_count(); ++i) {
-      obs::slo::HealthObjectiveStat os;
-      os.name = slo->objective(i).name;
-      os.good = slo->good_total(i);
-      os.bad = slo->bad_total(i);
-      os.breaches = slo->breach_count(i);
-      os.clears = slo->clear_count(i);
-      os.attainment = slo->attainment(i);
-      os.breached = slo->breached(i);
-      snap.objectives.push_back(std::move(os));
-    }
+    snap.live_link_frac = fabric.network().live_link_fraction();
+    snap.histograms.push_back(
+        obs::slo::histogram_stat("recovery_latency", recovery_hist));
+    obs::slo::add_objective_stats(snap, *slo);
     health->add(std::move(snap));
   }
   return result;
@@ -269,15 +246,22 @@ ChaosSoakReport run_chaos_soak(const ChaosSoakConfig& config,
   return report;
 }
 
-obs::slo::SloMonitor make_chaos_slo(const ChaosSoakConfig& config) {
+obs::slo::SloMonitor make_chaos_slo() {
+  // A chaos incident closes only after its offline diagnosis (25 ms
+  // default delay) and any command retries: the bound covers that
+  // modeled pipeline and the budget tolerates the retry tail.
+  constexpr Seconds kRecoveryLatencyBound = milliseconds(50);
+  constexpr double kRecoveryBudget = 0.05;
+  constexpr Seconds kSloWindow = 0.25;
+  constexpr std::uint64_t kSloMinEvents = 5;
   obs::slo::SloMonitor slo;
   obs::slo::SloObjectiveConfig oc;
   oc.name = "recovery_latency";
   oc.kind = obs::slo::ObjectiveKind::kLatency;
-  oc.threshold = config.obs.recovery_latency_bound;
-  oc.budget = config.obs.recovery_budget;
-  oc.window = config.obs.slo_window;
-  oc.min_events = config.obs.slo_min_events;
+  oc.threshold = kRecoveryLatencyBound;
+  oc.budget = kRecoveryBudget;
+  oc.window = kSloWindow;
+  oc.min_events = kSloMinEvents;
   const std::size_t idx = slo.add_objective(std::move(oc));
   SBK_ASSERT_MSG(idx == 0, "recovery_latency must be objective 0");
   (void)idx;

@@ -34,7 +34,7 @@ struct ChaosSoakConfig {
   /// timeline-monotonicity invariant to be meaningful).
   Seconds diagnosis_delay = milliseconds(25);
   /// Detector re-report interval: the recovery mechanism for reports the
-  /// chaos plan loses, so it must be positive when report_loss_prob > 0.
+  /// chaos plan's report channel loses, so it must stay positive.
   Seconds report_retry_interval = milliseconds(5);
 
   /// Fault-schedule shape, shared by every scenario (the per-scenario
@@ -49,22 +49,8 @@ struct ChaosSoakConfig {
   /// into the per-strategy unreachable tallies. 0 disables the race.
   std::size_t reachability_probes = 32;
 
-  /// Knobs of the recovery-latency SLO that make_chaos_slo builds.
-  /// Whether a soak traces, samples telemetry or judges SLOs is decided
-  /// by which sinks the caller hands run_chaos_soak, not by config.
-  struct ChaosObsConfig {
-    /// Bound on recovered_at - injected_at per incident. The paper's
-    /// sub-millisecond target covers the failover span alone; a chaos
-    /// incident closes only after the scheduled offline diagnosis
-    /// (diagnosis_delay, default 25ms) and any command retries, so the
-    /// default bound covers that modeled pipeline with the budget
-    /// tolerating the retry tail.
-    Seconds recovery_latency_bound = milliseconds(50);
-    double recovery_budget = 0.05;
-    Seconds slo_window = 0.25;
-    std::uint64_t slo_min_events = 5;
-  };
-  ChaosObsConfig obs;
+  // Whether a soak traces, samples telemetry or judges SLOs is decided
+  // by which sinks the caller hands run_chaos_soak, not by config.
 };
 
 struct ChaosScenarioResult {
@@ -133,15 +119,14 @@ struct ChaosSoakReport {
 /// in scenario order with the scenario index as the track, so every
 /// merged output is independent of the thread count (wall-clock span
 /// durations aside). With no sinks this is the plain soak. `sinks.slo`
-/// should be make_chaos_slo(config).
+/// should be make_chaos_slo().
 [[nodiscard]] ChaosSoakReport run_chaos_soak(
     const ChaosSoakConfig& config, const sweep::SweepSinks& sinks = {});
 
 /// Prototype SloMonitor for a chaos soak: one "recovery_latency"
-/// objective (index 0) built from config.obs, whose per-scenario clones
-/// judge each closed incident's recovered_at - injected_at against the
-/// bound.
-[[nodiscard]] obs::slo::SloMonitor make_chaos_slo(
-    const ChaosSoakConfig& config);
+/// objective (index 0: a 50 ms bound at a 5% budget), whose
+/// per-scenario clones judge each closed incident's recovered_at -
+/// injected_at against the bound.
+[[nodiscard]] obs::slo::SloMonitor make_chaos_slo();
 
 }  // namespace sbk::faultinject

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "control/controller_cluster.hpp"
 #include "net/network.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -13,6 +14,10 @@ namespace {
 
 using sharebackup::DeviceUid;
 using sharebackup::Fabric;
+
+/// Fraction of the initial spare pool that is dead on arrival (one
+/// interface broken): failing over onto one forces a DOA cascade.
+constexpr double kDoaSpareFraction = 0.25;
 
 /// Links joining two packet switches (host-edge links are out of scope
 /// for the chaos plan; the host policy has its own unit tests).
@@ -36,12 +41,10 @@ FaultPlan FaultPlan::generate(const Fabric& fabric,
                               const FaultPlanConfig& config,
                               std::uint64_t seed) {
   SBK_EXPECTS(config.horizon > 0.0);
-  SBK_EXPECTS(config.injection_window > 0.0 &&
-              config.injection_window < 1.0);
   FaultPlan plan;
   plan.seed = seed;
   plan.config = config;
-  plan.settle_at = config.injection_window * config.horizon;
+  plan.settle_at = FaultPlanConfig::kInjectionWindow * config.horizon;
 
   Rng rng(seed);
   const Seconds window = plan.settle_at;
@@ -109,7 +112,7 @@ FaultPlan FaultPlan::generate(const Fabric& fabric,
   // cascade to the next spare.
   std::vector<DeviceUid> spares = fabric.all_spares();
   std::size_t n_doa = static_cast<std::size_t>(
-      config.doa_spare_fraction * static_cast<double>(spares.size()));
+      kDoaSpareFraction * static_cast<double>(spares.size()));
   for (std::size_t idx :
        rng.sample_without_replacement(spares.size(), n_doa)) {
     plan.doa_spares.push_back(spares[idx]);
@@ -154,9 +157,10 @@ FaultPlan FaultPlan::generate(const Fabric& fabric,
       plan.controller_crashes.push_back(first);
       // The second kill targets the acting member again — with no
       // primary seated that resolves to the imminent election winner —
-      // and lands inside the detection+election window of the first.
+      // and lands inside the detection+election window of the first
+      // (the default cluster's bound, in plan time).
       ControllerCrashEvent second;
-      second.at = anchor + 0.6 * config.cluster_election_bound;
+      second.at = anchor + 0.6 * control::ClusterConfig{}.election_bound();
       second.member = kPrimaryMember;
       // Both casualties come back together, unless a repair delay
       // shorter than the election bound puts that before this crash;

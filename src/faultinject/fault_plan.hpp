@@ -2,8 +2,9 @@
 // harness). A FaultPlan is everything the chaos injector will do to one
 // simulation, fixed up front from (fabric shape, config, seed): which
 // switches and links fail and when, which initial spares are dead on
-// arrival, when controller-cluster members crash and come back, and the
-// probabilities the control-channel fault hooks roll against.
+// arrival, and when controller-cluster members crash and come back. The
+// probabilities the control-channel fault hooks roll against are fixed
+// in the ChaosInjector.
 //
 // Determinism contract: FaultPlan::generate is a pure function of
 // (fabric shape, config, seed) — two fabrics with the same parameters
@@ -12,7 +13,7 @@
 // exactly from its seed alone.
 //
 // Schedule shape: all injected failures start inside the *fault window*
-// [0, injection_window * horizon); the remaining tail of the run is
+// [0, kInjectionWindow * horizon); the remaining tail of the run is
 // fault-free settle time in which lost reports are re-sent, parked
 // recoveries are retried against a clean command channel, and repairs
 // drain. End-of-run invariants (ChaosInjector::verify) are only
@@ -55,11 +56,15 @@ enum class ClusterScenario : std::uint8_t {
 /// service::kClusterPrimary — crash the primary / revive all).
 inline constexpr std::size_t kPrimaryMember = ~static_cast<std::size_t>(0);
 
+/// The settable shape of a fault schedule. The channel fault
+/// probabilities and the DOA-spare fraction are fixed in the injector
+/// and the generator; the election bound the scripted scenarios aim at
+/// is ClusterConfig{}.election_bound().
 struct FaultPlanConfig {
   /// Simulated horizon; failures are injected in the leading
-  /// injection_window fraction and the rest is settle time.
+  /// kInjectionWindow fraction and the rest is settle time.
   Seconds horizon = 2.0;
-  double injection_window = 0.6;
+  static constexpr double kInjectionWindow = 0.6;
 
   /// Independent switch (node) failures.
   int switch_failures = 3;
@@ -71,22 +76,6 @@ struct FaultPlanConfig {
   /// exactly the localized pattern the §5.1 watchdog exists for.
   int bursts = 1;
   int burst_size = 3;
-
-  // --- switch -> controller report channel --------------------------------
-  double report_loss_prob = 0.15;
-  double report_delay_prob = 0.25;
-  /// Extra delay for a delayed report, uniform in (0, max]. Large enough
-  /// relative to probe_interval to reorder reports.
-  Seconds report_delay_max = milliseconds(2);
-
-  // --- controller -> circuit-switch command channel -----------------------
-  double command_nack_prob = 0.08;
-  double command_timeout_lost_prob = 0.05;
-  double command_timeout_applied_prob = 0.05;
-
-  /// Fraction of the initial spare pool that is dead on arrival (one
-  /// interface broken): failing over onto one forces a DOA cascade.
-  double doa_spare_fraction = 0.25;
 
   // --- controller cluster -------------------------------------------------
   /// Probability the plan includes a controller-member crash (paired
@@ -100,18 +89,16 @@ struct FaultPlanConfig {
   /// Member count of the cluster the stream will be replayed against
   /// (explicit member indices are reduced modulo this).
   std::size_t cluster_members = 3;
-  /// The service cluster's ClusterConfig::election_bound() in *plan*
-  /// time (pre-time_scale): kCrashDuringElection aims its second kill
-  /// inside this window after the first.
-  Seconds cluster_election_bound = 0.045;
 
-  // --- background services the injector simulates -------------------------
-  /// Repair-crew tick: confirmed-faulty / out-of-service devices are
-  /// healed and returned to their pools this often.
-  Seconds repair_interval = 0.05;
-  /// Operator tick: a tripped watchdog is serviced (acknowledged) this
-  /// often, releasing parked recoveries.
-  Seconds operator_interval = 0.05;
+  // --- background services ------------------------------------------------
+  /// Repair-crew cadence: confirmed-faulty / out-of-service devices are
+  /// healed and returned to their pools this often (the ChaosInjector's
+  /// repair tick and the report stream's kRepairAll).
+  static constexpr Seconds kRepairInterval = 0.05;
+  /// Operator cadence: a tripped watchdog is serviced (acknowledged)
+  /// this often, releasing parked recoveries (the ChaosInjector's
+  /// operator tick and the report stream's kAckWatchdog).
+  static constexpr Seconds kOperatorInterval = 0.05;
 };
 
 struct SwitchFailureEvent {

@@ -10,18 +10,24 @@ using service::MessageKind;
 using service::OperatorOp;
 using service::ServiceMessage;
 
+namespace {
+constexpr Seconds kResendGap = microseconds(150);
+// Background cadences of the offline-diagnosis pass and the parked
+// recovery re-drive within each repeat window.
+constexpr Seconds kDiagnosisInterval = 0.1;
+constexpr Seconds kRetryInterval = 0.25;
+}  // namespace
+
 std::vector<ServiceMessage> build_report_stream(
     const FaultPlan& plan, const ReportStreamConfig& config) {
   SBK_EXPECTS(config.repeats >= 1);
   SBK_EXPECTS(config.resends >= 1);
-  SBK_EXPECTS(config.resend_gap >= 0.0);
   SBK_EXPECTS(config.background_probes >= 0);
   SBK_EXPECTS(config.time_scale > 0.0);
 
   const Seconds horizon = plan.config.horizon;
-  const Seconds spacing =
-      config.repeat_spacing > 0.0 ? config.repeat_spacing : horizon;
-  SBK_EXPECTS_MSG(spacing > 0.0, "repeat spacing must be positive");
+  SBK_EXPECTS_MSG(horizon > 0.0, "the plan horizon spaces the repeats");
+  const Seconds gap = kResendGap;
 
   std::vector<ServiceMessage> out;
   auto emit = [&out, &config](ServiceMessage msg, Seconds at) {
@@ -30,7 +36,7 @@ std::vector<ServiceMessage> build_report_stream(
   };
 
   for (int r = 0; r < config.repeats; ++r) {
-    const Seconds base = static_cast<Seconds>(r) * spacing;
+    const Seconds base = static_cast<Seconds>(r) * horizon;
 
     for (const SwitchFailureEvent& ev : plan.switch_failures) {
       for (int i = 0; i < config.resends; ++i) {
@@ -38,7 +44,7 @@ std::vector<ServiceMessage> build_report_stream(
         msg.kind = MessageKind::kNodeFailureReport;
         msg.node = ev.node;
         msg.inject = i == 0;
-        emit(msg, base + ev.at + static_cast<Seconds>(i) * config.resend_gap);
+        emit(msg, base + ev.at + static_cast<Seconds>(i) * gap);
       }
     }
 
@@ -49,18 +55,15 @@ std::vector<ServiceMessage> build_report_stream(
         msg.link = ev.link;
         msg.bad_side = ev.bad_side;
         msg.inject = i == 0;
-        emit(msg, base + ev.at + static_cast<Seconds>(i) * config.resend_gap);
+        emit(msg, base + ev.at + static_cast<Seconds>(i) * gap);
       }
-      if (config.sick_probe_followup) {
-        ServiceMessage msg;
-        msg.kind = MessageKind::kProbeResult;
-        msg.link = ev.link;
-        msg.healthy = false;
-        emit(msg, base + ev.at +
-                      static_cast<Seconds>(config.resends) *
-                          config.resend_gap +
-                      config.resend_gap);
-      }
+      // One sick-probe re-report follows the resends.
+      ServiceMessage probe;
+      probe.kind = MessageKind::kProbeResult;
+      probe.link = ev.link;
+      probe.healthy = false;
+      emit(probe,
+           base + ev.at + static_cast<Seconds>(config.resends) * gap + gap);
     }
 
     // Healthy background probes: telemetry spread evenly over the
@@ -82,7 +85,6 @@ std::vector<ServiceMessage> build_report_stream(
 
     // Operator / repair-crew cadences.
     auto cadence = [&](Seconds interval, OperatorOp op) {
-      if (interval <= 0.0) return;
       for (Seconds t = interval; t <= horizon; t += interval) {
         ServiceMessage msg;
         msg.kind = MessageKind::kOperatorCommand;
@@ -90,10 +92,10 @@ std::vector<ServiceMessage> build_report_stream(
         emit(msg, base + t);
       }
     };
-    cadence(config.repair_interval, OperatorOp::kRepairAll);
-    cadence(config.watchdog_interval, OperatorOp::kAckWatchdog);
-    cadence(config.diagnosis_interval, OperatorOp::kRunDiagnosis);
-    cadence(config.retry_interval, OperatorOp::kRetryParked);
+    cadence(FaultPlanConfig::kRepairInterval, OperatorOp::kRepairAll);
+    cadence(FaultPlanConfig::kOperatorInterval, OperatorOp::kAckWatchdog);
+    cadence(kDiagnosisInterval, OperatorOp::kRunDiagnosis);
+    cadence(kRetryInterval, OperatorOp::kRetryParked);
 
     // Controller-cluster chaos: each planned crash becomes a crash
     // message at its event time and a repair message at its repair

@@ -9,16 +9,20 @@
 //
 // Knobs worth knowing:
 //   * `repeats` replays the plan's schedule back-to-back (each repeat
-//     offset by `repeat_spacing`); repairs within each window return the
-//     fabric close enough to health that the next repeat's injections
-//     land again. This is how a 2-second plan becomes a 100k+-report
-//     soak.
+//     offset by the plan's horizon); repairs within each window return
+//     the fabric close enough to health that the next repeat's
+//     injections land again. This is how a 2-second plan becomes a
+//     100k+-report soak.
 //   * `time_scale` compresses *virtual* time (every timestamp is
 //     multiplied by it). The service's virtual service rate is fixed by
 //     its IngressConfig, so time_scale is the saturation knob: shrink it
 //     until the arrival rate exceeds the service rate and queues,
 //     batches, and backpressure actually exercise. (Wall-clock pacing is
 //     a separate, harness-side knob.)
+//   * Operator / repair-crew commands follow fixed cadences within each
+//     repeat window: kRepairAll and kAckWatchdog at the plan's repair
+//     and operator cadences (the ChaosInjector's ticks), kRunDiagnosis
+//     every 0.1 s and kRetryParked every 0.25 s.
 //
 // Determinism contract: build_report_stream is a pure function of
 // (plan, config) — the stream, including every seq, is bit-identical
@@ -35,25 +39,17 @@
 namespace sbk::faultinject {
 
 struct ReportStreamConfig {
-  /// Times the plan's schedule is replayed; each repeat is shifted by
-  /// repeat_spacing (default 0 = the plan's horizon).
+  /// Times the plan's schedule is replayed; repeat r is shifted by r
+  /// plan horizons.
   int repeats = 1;
-  Seconds repeat_spacing = 0.0;
-  /// Reports sent per failure event (the first carries inject=true and
-  /// grounds the failure; re-sends exercise the stale-report guard).
+  /// Reports sent per failure event, 150 µs apart (the first carries
+  /// inject=true and grounds the failure; re-sends exercise the
+  /// stale-report guard). One sick-probe re-report follows each link
+  /// failure's resends.
   int resends = 2;
-  Seconds resend_gap = microseconds(150);
-  /// One sick-probe re-report follows each link failure's resends.
-  bool sick_probe_followup = true;
   /// Healthy background probe results per repeat, spread evenly over the
   /// repeat window (telemetry; the first traffic shed by backpressure).
   int background_probes = 64;
-  /// Operator / repair-crew command cadences within each repeat window
-  /// (0 disables a cadence).
-  Seconds repair_interval = 0.05;     ///< kRepairAll
-  Seconds watchdog_interval = 0.05;   ///< kAckWatchdog
-  Seconds diagnosis_interval = 0.1;   ///< kRunDiagnosis
-  Seconds retry_interval = 0.25;      ///< kRetryParked
   /// Virtual-time compression factor applied to every timestamp.
   double time_scale = 1.0;
   /// Emit the plan's controller crash/repair schedule as

@@ -3,6 +3,9 @@
 #include <iomanip>
 #include <sstream>
 
+#include "obs/slo/log_histogram.hpp"
+#include "obs/slo/slo_monitor.hpp"
+
 namespace sbk::obs::slo {
 
 namespace {
@@ -24,6 +27,32 @@ namespace {
 }
 
 }  // namespace
+
+HealthHistogramStat histogram_stat(std::string name,
+                                   const LogHistogram& hist) {
+  HealthHistogramStat hs;
+  hs.name = std::move(name);
+  hs.count = hist.count();
+  hs.p50 = hist.quantile(0.5);
+  hs.p99 = hist.quantile(0.99);
+  hs.p999 = hist.quantile(0.999);
+  hs.max = hist.max();
+  return hs;
+}
+
+void add_objective_stats(HealthSnapshot& snap, const SloMonitor& monitor) {
+  for (std::size_t i = 0; i < monitor.objective_count(); ++i) {
+    HealthObjectiveStat os;
+    os.name = monitor.objective(i).name;
+    os.good = monitor.good_total(i);
+    os.bad = monitor.bad_total(i);
+    os.breaches = monitor.breach_count(i);
+    os.clears = monitor.clear_count(i);
+    os.attainment = monitor.attainment(i);
+    os.breached = monitor.breached(i);
+    snap.objectives.push_back(std::move(os));
+  }
+}
 
 void write_health_json(std::ostream& os, const HealthSnapshot& snap) {
   os << std::setprecision(17);

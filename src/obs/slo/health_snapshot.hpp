@@ -66,6 +66,16 @@ struct HealthSnapshot {
   std::vector<HealthObjectiveStat> objectives;
 };
 
+class LogHistogram;
+class SloMonitor;
+
+/// Snapshot row of a named distribution: count, p50/p99/p999, max.
+[[nodiscard]] HealthHistogramStat histogram_stat(std::string name,
+                                                 const LogHistogram& hist);
+
+/// Appends one row per objective of `monitor`, in index order.
+void add_objective_stats(HealthSnapshot& snap, const SloMonitor& monitor);
+
 /// One JSON object (single line) per snapshot.
 void write_health_json(std::ostream& os, const HealthSnapshot& snap);
 

@@ -22,6 +22,40 @@ namespace {
   return seq_a < seq_b;
 }
 
+/// Per-producer staging bound; submit() blocks when full (the
+/// wall-clock backpressure path — it bounds memory but never changes
+/// virtual-time outcomes).
+constexpr std::size_t kStagingCapacity = 1024;
+/// Every Nth processed message also records its decision latency into
+/// the flight recorder as a counter sample (all messages feed the
+/// deterministic streaming histogram regardless).
+constexpr std::uint64_t kLatencySampleEvery = 64;
+/// Shutdown settle: virtual-time step between rounds (a watchdog window
+/// must be able to slide past the last report burst) and the round cap.
+constexpr Seconds kSweepStep = 1.25;
+constexpr std::size_t kMaxSweepRounds = 16;
+
+// Live SLO engine. Health snapshots are taken at the first batch
+// boundary at or after each multiple of kSnapshotInterval (plus one at
+// drain), so the timeline is a pure function of the message schedule.
+constexpr Seconds kSnapshotInterval = 0.25;
+/// decision_latency: p98 of arrival -> batch-end latencies under 50 ms.
+constexpr Seconds kDecisionLatencyBound = 0.05;
+constexpr double kDecisionBudget = 0.02;
+/// service_availability: a failure-relevant message handled by a usable
+/// primary is good; one buffered headless or refused by the term guard
+/// is bad (the single-controller service never records a bad event).
+constexpr double kAvailabilityBudget = 1e-3;
+/// report_loss: ingress overflow drops vs. processed messages
+/// (deliberate probe shedding is not loss).
+constexpr double kLossBudget = 1e-4;
+/// Burn-window geometry shared by the three objectives.
+constexpr std::uint32_t kSteps = 10;
+constexpr std::uint32_t kShortSteps = 2;
+constexpr double kBurnFactor = 4.0;
+constexpr double kClearFactor = 1.0;
+constexpr std::uint64_t kMinEvents = 20;
+
 [[nodiscard]] const char* kind_name(MessageKind kind) noexcept {
   switch (kind) {
     case MessageKind::kNodeFailureReport: return "node_failure_report";
@@ -44,39 +78,33 @@ ControllerService::ControllerService(sharebackup::Fabric& fabric,
                [this](const std::vector<ServiceMessage>& batch, Seconds start,
                       Seconds end) { dispatch_batch(batch, start, end); }),
       switch_devices_(fabric.switch_devices()) {
-  SBK_EXPECTS(config_.staging_capacity >= 1);
-  SBK_EXPECTS(config_.sweep_step > 0.0);
-  SBK_EXPECTS(config_.max_sweep_rounds >= 1);
-
   if (config_.slo.enabled) {
-    const ServiceSloConfig& s = config_.slo;
-    SBK_EXPECTS(s.snapshot_interval > 0.0);
     obs::slo::SloObjectiveConfig decision;
     decision.name = "decision_latency";
     decision.kind = obs::slo::ObjectiveKind::kLatency;
-    decision.threshold = s.decision_latency_bound;
-    decision.budget = s.decision_budget;
+    decision.threshold = kDecisionLatencyBound;
+    decision.budget = kDecisionBudget;
     obs::slo::SloObjectiveConfig availability;
     availability.name = "service_availability";
-    availability.budget = s.availability_budget;
+    availability.budget = kAvailabilityBudget;
     obs::slo::SloObjectiveConfig loss;
     loss.name = "report_loss";
-    loss.budget = s.loss_budget;
+    loss.budget = kLossBudget;
     for (obs::slo::SloObjectiveConfig* cfg :
          {&decision, &availability, &loss}) {
-      cfg->window = s.window;
-      cfg->steps = s.steps;
-      cfg->short_steps = s.short_steps;
-      cfg->burn_factor = s.burn_factor;
-      cfg->clear_factor = s.clear_factor;
-      cfg->min_events = s.min_events;
+      cfg->window = ServiceSloConfig::kWindow;
+      cfg->steps = kSteps;
+      cfg->short_steps = kShortSteps;
+      cfg->burn_factor = kBurnFactor;
+      cfg->clear_factor = kClearFactor;
+      cfg->min_events = kMinEvents;
     }
     const std::size_t d = slo_monitor_.add_objective(decision);
     const std::size_t a = slo_monitor_.add_objective(availability);
     const std::size_t l = slo_monitor_.add_objective(loss);
     SBK_ASSERT(d == kSloDecision && a == kSloAvailability && l == kSloLoss);
     slo_enabled_ = true;
-    next_snapshot_ = s.snapshot_interval;
+    next_snapshot_ = kSnapshotInterval;
   }
 
   ingress_.set_reject_hook([this](const ServiceMessage& msg, bool overflow) {
@@ -145,7 +173,7 @@ void ControllerService::submit(int producer, const ServiceMessage& msg) {
   p.has_wm = true;
   cv_work_.notify_one();
   cv_space_.wait(lk, [&] {
-    return p.staging.size() < config_.staging_capacity;
+    return p.staging.size() < kStagingCapacity;
   });
   p.staging.push_back(msg);
   // Every future delivery is strictly above (at, seq) in (at, seq)
@@ -295,8 +323,8 @@ void ControllerService::dispatch_batch(const std::vector<ServiceMessage>& batch,
       slo_monitor_.record_latency(kSloDecision, end, latency);
       slo_monitor_.record_good(kSloLoss, end);
     }
-    if (recorder_ != nullptr && config_.latency_sample_every > 0 &&
-        decision_latency_.count() % config_.latency_sample_every == 0) {
+    if (recorder_ != nullptr &&
+        decision_latency_.count() % kLatencySampleEvery == 0) {
       recorder_->counter("service", "decision_latency_us", end,
                          latency * 1e6);
     }
@@ -400,8 +428,8 @@ void ControllerService::final_sweep() {
   // diagnosis work and the watchdog was clear — leftover parked
   // failures are pool-excused by then (their group's spares are gone).
   Seconds t = std::max(ingress_.stats().last_batch_end, 0.0);
-  for (std::size_t round = 0; round < config_.max_sweep_rounds; ++round) {
-    t += config_.sweep_step;
+  for (std::size_t round = 0; round < kMaxSweepRounds; ++round) {
+    t += kSweepStep;
     controller_->set_time(t);
     ++stats_.final_sweep_rounds;
     const bool tripped = controller_->human_intervention_required();
@@ -435,8 +463,8 @@ void ControllerService::slo_on_batch(Seconds start) {
   fill_health(snap);
   health_.add(std::move(snap));
   // One sample per crossing, however many multiples a quiet gap spans.
-  const double k = std::floor(start / config_.slo.snapshot_interval);
-  next_snapshot_ = (k + 1.0) * config_.slo.snapshot_interval;
+  const double k = std::floor(start / kSnapshotInterval);
+  next_snapshot_ = (k + 1.0) * kSnapshotInterval;
 }
 
 void ControllerService::slo_finish() {
@@ -460,31 +488,10 @@ void ControllerService::fill_health(obs::slo::HealthSnapshot& snap) const {
   snap.shed_probes = in.shed_probes;
   snap.batches = in.batches;
   snap.spare_pool = fabric_->total_spares();
-  const net::Network& net = fabric_->network();
-  snap.live_link_frac =
-      net.link_count() == 0
-          ? 1.0
-          : 1.0 - static_cast<double>(net.failed_link_count()) /
-                      static_cast<double>(net.link_count());
-  obs::slo::HealthHistogramStat lat;
-  lat.name = "decision_latency";
-  lat.count = decision_latency_.count();
-  lat.p50 = decision_latency_.quantile(0.5);
-  lat.p99 = decision_latency_.quantile(0.99);
-  lat.p999 = decision_latency_.quantile(0.999);
-  lat.max = decision_latency_.max();
-  snap.histograms.push_back(std::move(lat));
-  for (std::size_t i = 0; i < slo_monitor_.objective_count(); ++i) {
-    obs::slo::HealthObjectiveStat o;
-    o.name = slo_monitor_.objective(i).name;
-    o.good = slo_monitor_.good_total(i);
-    o.bad = slo_monitor_.bad_total(i);
-    o.breaches = slo_monitor_.breach_count(i);
-    o.clears = slo_monitor_.clear_count(i);
-    o.attainment = slo_monitor_.attainment(i);
-    o.breached = slo_monitor_.breached(i);
-    snap.objectives.push_back(std::move(o));
-  }
+  snap.live_link_frac = fabric_->network().live_link_fraction();
+  snap.histograms.push_back(
+      obs::slo::histogram_stat("decision_latency", decision_latency_));
+  obs::slo::add_objective_stats(snap, slo_monitor_);
 }
 
 obs::slo::HealthSnapshot ControllerService::health_snapshot() const {

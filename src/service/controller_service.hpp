@@ -67,35 +67,16 @@
 
 namespace sbk::service {
 
-/// Live SLO engine configuration (obs/slo wired into the service loop).
+/// Live SLO engine switch (obs/slo wired into the service loop).
 /// Disabled by default: the only hot-path cost of a disabled engine is
 /// one branch per message (the same gate style as the flight recorder).
+/// The three objectives and the health-snapshot cadence are fixed in
+/// controller_service.cpp.
 struct ServiceSloConfig {
   bool enabled = false;
-  /// Virtual-time spacing of health snapshots; each sample is taken at
-  /// the first batch boundary at or after a multiple of the interval
-  /// (plus one final sample at drain), so the snapshot timeline is a
-  /// pure function of the message schedule.
-  Seconds snapshot_interval = 0.25;
-  /// decision_latency objective: "p-(1-budget) of decision latencies
-  /// (arrival -> batch end) stays under the bound".
-  Seconds decision_latency_bound = 0.05;
-  double decision_budget = 0.02;
-  /// service_availability objective: a failure-relevant message handled
-  /// by a usable primary is good; one buffered headless (or refused by
-  /// the term guard) is bad. The single-controller service never
-  /// records a bad event.
-  double availability_budget = 1e-3;
-  /// report_loss objective: ingress overflow drops vs. processed
-  /// messages (deliberate probe shedding is not loss).
-  double loss_budget = 1e-4;
-  /// Shared burn-window geometry (see obs/slo/slo_monitor.hpp).
-  Seconds window = 0.05;
-  std::uint32_t steps = 10;
-  std::uint32_t short_steps = 2;
-  double burn_factor = 4.0;
-  double clear_factor = 1.0;
-  std::uint64_t min_events = 20;
+  /// Long burn window shared by every objective (see
+  /// obs/slo/slo_monitor.hpp); an alert follows its cause within one.
+  static constexpr Seconds kWindow = 0.05;
 };
 
 struct ServiceConfig {
@@ -103,19 +84,6 @@ struct ServiceConfig {
   /// Live SLO engine: streaming objectives, burn-rate alerts, health
   /// snapshots.
   ServiceSloConfig slo;
-  /// Per-producer staging bound; submit() blocks when full (this is the
-  /// wall-clock backpressure path — it bounds memory but never changes
-  /// virtual-time outcomes).
-  std::size_t staging_capacity = 1024;
-  /// Every Nth processed message also records its decision latency into
-  /// the flight recorder as a counter sample (all messages feed the
-  /// deterministic streaming histogram regardless).
-  std::size_t latency_sample_every = 64;
-  /// Shutdown settle: virtual-time step between rounds (a watchdog
-  /// window must be able to slide past the last report burst) and the
-  /// round cap.
-  Seconds sweep_step = 1.25;
-  std::size_t max_sweep_rounds = 16;
 };
 
 /// Deterministic service-level accounting (wall_seconds excepted — it is

@@ -16,7 +16,8 @@ ReplicaBank::ReplicaBank(sharebackup::Fabric& fabric,
   SBK_EXPECTS(config.cluster.members >= 1);
   for (std::size_t i = 0; i < config.cluster.members; ++i) {
     replicas.push_back(
-        std::make_unique<control::Controller>(fabric, config.controller));
+        std::make_unique<control::Controller>(fabric,
+                                              control::ControllerConfig{}));
     replicas.back()->set_audit_limit(config.audit_limit);
   }
 }
@@ -107,10 +108,9 @@ void ReplicatedControllerService::apply_crash(const ServiceMessage& msg,
                                               Seconds at) {
   std::optional<std::size_t> victim;
   if (msg.member == kClusterPrimary) {
-    // The adversary kills whichever member matters: the seated primary,
-    // or — mid-election — the highest live member (the imminent winner).
-    victim = cluster_.primary();
-    if (!victim.has_value()) victim = highest_live_member();
+    // The adversary kills whichever member acts: the seated primary,
+    // or — mid-election — the imminent winner.
+    victim = cluster_.acting_member();
   } else if (msg.member < cluster_.member_count() &&
              cluster_.member_alive(msg.member)) {
     victim = msg.member;
@@ -123,7 +123,7 @@ void ReplicatedControllerService::apply_crash(const ServiceMessage& msg,
                        "member#" + std::to_string(*victim));
   }
   if (was_available && !cluster_.available()) open_headless_window(at);
-  if (headless_since_.has_value() && !any_member_alive() &&
+  if (headless_since_.has_value() && !cluster_.acting_member().has_value() &&
       !window_total_death_) {
     // The window now contains total cluster death: it is unbounded by
     // design (only an operator repair ends it) and excused from the
@@ -212,21 +212,6 @@ std::optional<ReplicatedControllerService::Lease>
 ReplicatedControllerService::capture_lease() const {
   if (!cluster_.available()) return std::nullopt;
   return Lease{*cluster_.primary(), cluster_.term()};
-}
-
-std::optional<std::size_t>
-ReplicatedControllerService::highest_live_member() const {
-  for (std::size_t i = cluster_.member_count(); i-- > 0;) {
-    if (cluster_.member_alive(i)) return i;
-  }
-  return std::nullopt;
-}
-
-bool ReplicatedControllerService::any_member_alive() const {
-  for (std::size_t i = 0; i < cluster_.member_count(); ++i) {
-    if (cluster_.member_alive(i)) return true;
-  }
-  return false;
 }
 
 void ReplicatedControllerService::final_sweep() {

@@ -87,8 +87,6 @@ struct ReplicatedServiceConfig {
   /// threshold, election duration (all in virtual seconds — scale them
   /// with the stream's time_scale).
   control::ClusterConfig cluster;
-  /// Per-replica controller configuration.
-  control::ControllerConfig controller;
   /// Bounded audit trail per replica (0 = unbounded).
   std::size_t audit_limit = 0;
 };
@@ -164,8 +162,6 @@ class ReplicatedControllerService : private detail::ReplicaBank,
   void close_headless_window(Seconds at);
   [[nodiscard]] bool lease_valid() const;
   [[nodiscard]] std::optional<Lease> capture_lease() const;
-  [[nodiscard]] std::optional<std::size_t> highest_live_member() const;
-  [[nodiscard]] bool any_member_alive() const;
 
   ReplicatedServiceConfig rconfig_;
   sim::EventQueue sim_;

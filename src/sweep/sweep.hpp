@@ -70,10 +70,10 @@ struct SweepSinks {
   obs::FlightRecorder* recorder = nullptr;
   /// Ring capacity of each scenario's private recorder (the merged
   /// recorder's capacity is whatever the caller constructed it with).
-  std::size_t recorder_capacity = obs::FlightRecorder::kDefaultCapacity;
+  static constexpr std::size_t kRecorderCapacity =
+      obs::FlightRecorder::kDefaultCapacity;
+  /// Each scenario's TelemetrySampler samples every 10 ms of sim time.
   obs::TelemetryTable* telemetry = nullptr;
-  /// Cadence of each scenario's TelemetrySampler, in sim seconds.
-  Seconds telemetry_interval = 0.01;
   /// Objective prototype: each scenario judges on slo->clone_config().
   obs::slo::SloMonitor* slo = nullptr;
   obs::slo::HealthLog* health = nullptr;
@@ -193,16 +193,17 @@ class SweepRunner {
     std::deque<obs::TelemetrySampler> samplers;
     std::deque<obs::slo::SloMonitor> monitors;
     std::deque<obs::slo::HealthLog> logs;
+    constexpr Seconds kTelemetryInterval = 0.01;
     for (std::size_t i = 0; i < scenario_count; ++i) {
       if (sinks.metrics != nullptr) {
         metrics.emplace_back(sinks.metrics->enabled());
       }
       if (sinks.recorder != nullptr) {
         recorders.emplace_back(sinks.recorder->enabled(),
-                               sinks.recorder_capacity);
+                               SweepSinks::kRecorderCapacity);
       }
       if (sinks.telemetry != nullptr) {
-        samplers.emplace_back(sinks.telemetry_interval,
+        samplers.emplace_back(kTelemetryInterval,
                               sinks.telemetry->enabled());
       }
       if (sinks.slo != nullptr) monitors.push_back(sinks.slo->clone_config());

@@ -237,5 +237,38 @@ TEST(ControlPlane, NonUniformAggBackupsRecoverOntoBothSpares) {
   EXPECT_TRUE(all_pairs_deliver(fabric));
 }
 
+TEST(ControlPlane, DetectorAndControllerShareOneTiming) {
+  // soak_test's coarse timing: 50 ms probes, 2 misses. The plane's
+  // controller must charge the same model its detector probes on.
+  ControlPlaneConfig cfg;
+  cfg.timing.probe_interval = milliseconds(50);
+  cfg.timing.miss_threshold = 2;
+  Fabric fabric(fp(4, 1));
+  sim::EventQueue q;
+  ControlPlane plane(fabric, q, cfg);
+  const Seconds modeled =
+      sharebackup_latency(cfg.timing, fabric.technology()).total();
+  EXPECT_DOUBLE_EQ(plane.controller().end_to_end_recovery_latency(),
+                   modeled);
+
+  // A crash just after the 0.10 s probe is declared on the 0.20 s probe
+  // (two misses) and recovered one control path later: inside the
+  // model's worst case, and far past the 1 ms x 3 default.
+  plane.start(1.0);
+  const net::NodeId victim = fabric.fat_tree().core(1);
+  const Seconds crash = 0.105;
+  Seconds recovered_at = -1.0;
+  plane.on_recovery([&](const RecoveryOutcome& out, Seconds t) {
+    if (out.recovered && recovered_at < 0.0) {
+      recovered_at = t + out.control_latency;
+    }
+  });
+  q.schedule_at(crash, [&] { fabric.network().fail_node(victim); });
+  q.run();
+  ASSERT_GT(recovered_at, 0.0);
+  EXPECT_GT(recovered_at - crash, cfg.timing.probe_interval);
+  EXPECT_LE(recovered_at - crash, modeled);
+}
+
 }  // namespace
 }  // namespace sbk::control

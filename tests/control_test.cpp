@@ -481,10 +481,10 @@ TEST(Controller, AuditLogRecordsTheFullStory) {
 TEST(Detector, NodeFailureDetectedAfterThresholdMisses) {
   topo::FatTree ft(topo::FatTreeParams{.k = 4});
   sim::EventQueue q;
-  DetectorConfig cfg;
-  cfg.probe_interval = milliseconds(1);
-  cfg.miss_threshold = 3;
-  FailureDetector det(q, ft.network(), cfg);
+  LatencyModelParams timing;
+  timing.probe_interval = milliseconds(1);
+  timing.miss_threshold = 3;
+  FailureDetector det(q, ft.network(), timing);
 
   net::NodeId victim = ft.agg(0, 0);
   Seconds detected_at = -1.0;
@@ -499,17 +499,17 @@ TEST(Detector, NodeFailureDetectedAfterThresholdMisses) {
   q.run();
   ASSERT_GT(detected_at, 0.0);
   // Detection within (threshold-1, threshold+1] probe intervals.
-  EXPECT_GT(detected_at - crash, 2 * cfg.probe_interval);
-  EXPECT_LE(detected_at - crash, 4 * cfg.probe_interval);
+  EXPECT_GT(detected_at - crash, 2 * timing.probe_interval);
+  EXPECT_LE(detected_at - crash, 4 * timing.probe_interval);
 }
 
 TEST(Detector, TransientBlipBelowThresholdNotReported) {
   topo::FatTree ft(topo::FatTreeParams{.k = 4});
   sim::EventQueue q;
-  DetectorConfig cfg;
-  cfg.probe_interval = milliseconds(1);
-  cfg.miss_threshold = 3;
-  FailureDetector det(q, ft.network(), cfg);
+  LatencyModelParams timing;
+  timing.probe_interval = milliseconds(1);
+  timing.miss_threshold = 3;
+  FailureDetector det(q, ft.network(), timing);
   net::NodeId victim = ft.core(0);
   bool reported = false;
   det.on_node_failure([&](net::NodeId, Seconds) { reported = true; });
@@ -524,7 +524,7 @@ TEST(Detector, TransientBlipBelowThresholdNotReported) {
 TEST(Detector, LinkFailureReportedOnlyWithLiveEndpoints) {
   topo::FatTree ft(topo::FatTreeParams{.k = 4});
   sim::EventQueue q;
-  FailureDetector det(q, ft.network(), DetectorConfig{});
+  FailureDetector det(q, ft.network(), LatencyModelParams{});
   net::NodeId edge = ft.edge(0, 0);
   net::NodeId agg = ft.agg(0, 0);
   net::LinkId link = *ft.network().find_link(edge, agg);
@@ -540,7 +540,7 @@ TEST(Detector, LinkFailureReportedOnlyWithLiveEndpoints) {
 
   // A genuine link failure does get reported, and rearm works.
   sim::EventQueue q2;
-  FailureDetector det2(q2, ft.network(), DetectorConfig{});
+  FailureDetector det2(q2, ft.network(), LatencyModelParams{});
   ft.network().clear_failures();
   det2.on_link_failure([&](net::LinkId, Seconds) { ++link_reports; });
   det2.watch_link(link, 0.05);
@@ -559,8 +559,7 @@ TEST(Detector, EndToEndDetectionPlusRecoveryIsFast) {
   sharebackup::Fabric fabric(fp(4, 1));
   Controller ctrl(fabric, ControllerConfig{});
   sim::EventQueue q;
-  DetectorConfig dcfg;
-  FailureDetector det(q, fabric.network(), dcfg);
+  FailureDetector det(q, fabric.network(), ctrl.timing());
 
   SwitchPosition pos{Layer::kCore, -1, 1};
   net::NodeId victim = fabric.node_at(pos);
@@ -577,7 +576,7 @@ TEST(Detector, EndToEndDetectionPlusRecoveryIsFast) {
   q.run();
   ASSERT_GT(recovered_at, 0.0);
   // Total recovery within ~4 probe intervals + sub-ms control path.
-  EXPECT_LT(recovered_at - crash, 5 * dcfg.probe_interval);
+  EXPECT_LT(recovered_at - crash, 5 * ctrl.timing().probe_interval);
   EXPECT_FALSE(fabric.network().node_failed(victim));
 }
 
@@ -587,10 +586,10 @@ TEST(Detector, DoubleWatchDoesNotDoubleCount) {
   // counter) and halve the effective detection time.
   topo::FatTree ft(topo::FatTreeParams{.k = 4});
   sim::EventQueue q;
-  DetectorConfig cfg;
-  cfg.probe_interval = milliseconds(1);
-  cfg.miss_threshold = 3;
-  FailureDetector det(q, ft.network(), cfg);
+  LatencyModelParams timing;
+  timing.probe_interval = milliseconds(1);
+  timing.miss_threshold = 3;
+  FailureDetector det(q, ft.network(), timing);
   obs::MetricsRegistry metrics;
   det.attach_metrics(&metrics);
 
@@ -612,7 +611,7 @@ TEST(Detector, DoubleWatchDoesNotDoubleCount) {
   EXPECT_EQ(reports, 1);
   // With one chain the 3rd consecutive miss lands > 2 intervals after
   // the crash; a duplicated chain would cross the threshold in ~1.5.
-  EXPECT_GT(detected_at - crash, 2 * cfg.probe_interval);
+  EXPECT_GT(detected_at - crash, 2 * timing.probe_interval);
   // Probe count ≈ horizon/interval for a single chain (49 probes at
   // 1 ms over 50 ms); a second chain would double it.
   EXPECT_LE(metrics.counter("detector.node_probes").value(), 50u);
@@ -624,11 +623,12 @@ TEST(Detector, RearmAfterExpiredChainReschedules) {
   // passed the horizon (the pre-fix code left the element unwatched).
   topo::FatTree ft(topo::FatTreeParams{.k = 4});
   sim::EventQueue q;
+  LatencyModelParams timing;
+  timing.probe_interval = milliseconds(1);
+  timing.miss_threshold = 3;
   DetectorConfig cfg;
-  cfg.probe_interval = milliseconds(1);
-  cfg.miss_threshold = 3;
   cfg.phase = 0.2;  // first probe would land at 0.201 > horizon
-  FailureDetector det(q, ft.network(), cfg);
+  FailureDetector det(q, ft.network(), timing, cfg);
 
   net::NodeId victim = ft.core(0);
   int reports = 0;
@@ -647,7 +647,7 @@ TEST(Detector, DetectRecoverRearmDetectsSecondFailure) {
   sharebackup::Fabric fabric(fp(4, 2));
   Controller ctrl(fabric, ControllerConfig{});
   sim::EventQueue q;
-  FailureDetector det(q, fabric.network(), DetectorConfig{});
+  FailureDetector det(q, fabric.network(), LatencyModelParams{});
 
   SwitchPosition pos{Layer::kAgg, 0, 0};
   net::NodeId victim = fabric.node_at(pos);
@@ -671,10 +671,10 @@ TEST(Detector, FlappingLinkResetsMissesBelowThreshold) {
   // never be reported: each successful probe resets the streak.
   topo::FatTree ft(topo::FatTreeParams{.k = 4});
   sim::EventQueue q;
-  DetectorConfig cfg;
-  cfg.probe_interval = milliseconds(1);
-  cfg.miss_threshold = 3;
-  FailureDetector det(q, ft.network(), cfg);
+  LatencyModelParams timing;
+  timing.probe_interval = milliseconds(1);
+  timing.miss_threshold = 3;
+  FailureDetector det(q, ft.network(), timing);
 
   net::NodeId edge = ft.edge(0, 0);
   net::NodeId agg = ft.agg(0, 1);
@@ -693,7 +693,7 @@ TEST(Detector, FlappingLinkResetsMissesBelowThreshold) {
 
   // A sustained failure after the flapping still gets through.
   sim::EventQueue q2;
-  FailureDetector det2(q2, ft.network(), cfg);
+  FailureDetector det2(q2, ft.network(), timing);
   det2.on_link_failure([&](net::LinkId, Seconds) { ++reports; });
   det2.watch_link(link, 0.05);
   q2.schedule_at(0.010, [&] { ft.network().fail_link(link); });
@@ -708,10 +708,10 @@ TEST(Detector, LinkMaskedByFailedEndpointReportedAfterNodeRecovery) {
   // the link channel must take over and report.
   topo::FatTree ft(topo::FatTreeParams{.k = 4});
   sim::EventQueue q;
-  DetectorConfig cfg;
-  cfg.probe_interval = milliseconds(1);
-  cfg.miss_threshold = 3;
-  FailureDetector det(q, ft.network(), cfg);
+  LatencyModelParams timing;
+  timing.probe_interval = milliseconds(1);
+  timing.miss_threshold = 3;
+  FailureDetector det(q, ft.network(), timing);
 
   net::NodeId edge = ft.edge(1, 0);
   net::NodeId agg = ft.agg(1, 0);
@@ -734,7 +734,7 @@ TEST(Detector, LinkMaskedByFailedEndpointReportedAfterNodeRecovery) {
 
   EXPECT_EQ(link_reports, 1);
   // The miss streak only starts once the endpoint is back.
-  EXPECT_GT(reported_at, node_recovery + 2 * cfg.probe_interval);
+  EXPECT_GT(reported_at, node_recovery + 2 * timing.probe_interval);
   ft.network().clear_failures();
 }
 
@@ -747,11 +747,12 @@ TEST(Detector, PhaseOffsetShiftsDetection) {
   const Seconds crash = 0.0042;
   auto detect_with_phase = [&](Seconds phase) {
     sim::EventQueue q;
+    LatencyModelParams timing;
+    timing.probe_interval = milliseconds(1);
+    timing.miss_threshold = 3;
     DetectorConfig cfg;
-    cfg.probe_interval = milliseconds(1);
-    cfg.miss_threshold = 3;
     cfg.phase = phase;
-    FailureDetector det(q, ft.network(), cfg);
+    FailureDetector det(q, ft.network(), timing, cfg);
     net::NodeId victim = ft.core(1);
     Seconds detected_at = -1.0;
     det.on_node_failure([&](net::NodeId, Seconds t) { detected_at = t; });
@@ -772,8 +773,11 @@ TEST(Detector, PhaseOffsetShiftsDetection) {
 
 TEST(Controller, TracesControlPathSpansOnFailover) {
   Fabric fabric(fp(6, 1));
-  ControllerConfig cfg;
-  Controller ctrl(fabric, cfg);
+  // Non-default hops show that every span reads the one timing model.
+  LatencyModelParams timing;
+  timing.control_channel_one_way = microseconds(250);
+  timing.controller_processing = microseconds(80);
+  Controller ctrl(fabric, ControllerConfig{}, timing);
   obs::RecoveryTracer tracer;
   ctrl.attach_tracer(&tracer);
 
@@ -794,18 +798,21 @@ TEST(Controller, TracesControlPathSpansOnFailover) {
   ASSERT_NE(inc.span("decision"), nullptr);
   ASSERT_NE(inc.span("command"), nullptr);
   ASSERT_NE(inc.span("reconfiguration"), nullptr);
+  const LatencyBreakdown model =
+      sharebackup_latency(timing, fabric.technology());
+  const Seconds notified = inc.span("notification")->duration();
+  const Seconds commanded = inc.span("command")->duration();
   EXPECT_DOUBLE_EQ(inc.span("notification")->start, detected);
-  EXPECT_NEAR(inc.span("notification")->duration(), cfg.report_latency, 1e-12);
-  EXPECT_NEAR(inc.span("decision")->duration(), cfg.processing_latency, 1e-12);
-  EXPECT_NEAR(inc.span("command")->duration(), cfg.command_latency, 1e-12);
-  EXPECT_NEAR(inc.span("reconfiguration")->duration(),
-              sharebackup::reconfiguration_latency(fabric.technology()),
+  EXPECT_NEAR(notified, timing.control_channel_one_way, 1e-12);
+  EXPECT_NEAR(commanded, timing.control_channel_one_way, 1e-12);
+  // The model's notification is both one-way hops: report and command.
+  EXPECT_NEAR(notified + commanded, model.notification, 1e-12);
+  EXPECT_NEAR(inc.span("decision")->duration(), model.decision, 1e-12);
+  EXPECT_NEAR(inc.span("reconfiguration")->duration(), model.reconfiguration,
               1e-12);
   EXPECT_DOUBLE_EQ(inc.recovered_at,
-                   detected + cfg.report_latency + cfg.processing_latency +
-                       cfg.command_latency +
-                       sharebackup::reconfiguration_latency(
-                           fabric.technology()));
+                   detected + model.notification + model.decision +
+                       model.reconfiguration);
 }
 
 TEST(Controller, TracesDiagnosisAndRestoreSpans) {
@@ -857,7 +864,7 @@ TEST(RecoveryLatency, GlobalRerouteClampsToOneRuleUpdate) {
   // so the breakdown must match the single-update case (the unclamped
   // arithmetic produced a reconfiguration *cheaper* than one update).
   EXPECT_DOUBLE_EQ(zero.reconfiguration, one.reconfiguration);
-  EXPECT_DOUBLE_EQ(zero.reconfiguration, p.sdn_rule_update);
+  EXPECT_DOUBLE_EQ(zero.reconfiguration, LatencyModelParams::kSdnRuleUpdate);
   EXPECT_DOUBLE_EQ(zero.total(), one.total());
   EXPECT_THROW((void)global_reroute_latency(p, -1), ContractViolation);
 }
@@ -1201,6 +1208,28 @@ TEST(RecoveryLatency, GlobalRerouteScalesWithRuleUpdates) {
   EXPECT_DOUBLE_EQ(one.detection, eight.detection);
 }
 
+TEST(Cluster, ActingMemberIsPrimaryElseHighestLive) {
+  sim::EventQueue q;
+  ClusterConfig cfg;  // 3 members; the highest id starts as primary
+  ControllerCluster cluster(q, cfg);
+  cluster.start(1.0);
+  EXPECT_EQ(cluster.acting_member(), std::optional<std::size_t>(2));
+  // Primary dead, no election yet: the imminent winner acts.
+  cluster.fail_member(2);
+  EXPECT_FALSE(cluster.primary().has_value());
+  EXPECT_EQ(cluster.acting_member(), std::optional<std::size_t>(1));
+  // A seated primary acts even when a higher member is back.
+  q.run_until(cfg.election_bound() + cfg.heartbeat_interval);
+  ASSERT_EQ(cluster.primary(), std::optional<std::size_t>(1));
+  cluster.repair_member(2);
+  EXPECT_EQ(cluster.acting_member(), std::optional<std::size_t>(1));
+  cluster.fail_member(1);
+  cluster.fail_member(2);
+  EXPECT_EQ(cluster.acting_member(), std::optional<std::size_t>(0));
+  cluster.fail_member(0);
+  EXPECT_FALSE(cluster.acting_member().has_value());
+}
+
 TEST(Cluster, DowntimeAccumulatesAcrossOutages) {
   sim::EventQueue q;
   ClusterConfig cfg;
@@ -1220,19 +1249,11 @@ TEST(Cluster, DowntimeAccumulatesAcrossOutages) {
 
 TEST(RecoveryLatency, ControllerEndToEndMatchesModel) {
   sharebackup::Fabric fabric(fp(4, 1));
-  ControllerConfig cfg;
-  Controller ctrl(fabric, cfg);
-  LatencyModelParams p;
-  p.probe_interval = cfg.probe_interval;
-  p.miss_threshold = cfg.miss_threshold;
-  p.control_channel_one_way = cfg.report_latency;
-  p.controller_processing = cfg.processing_latency;
-  auto model =
-      sharebackup_latency(p, sharebackup::CircuitTechnology::kElectricalCrosspoint);
-  // The controller's own accounting agrees with the standalone model
-  // (command latency maps onto the second one-way channel hop).
-  EXPECT_NEAR(ctrl.end_to_end_recovery_latency(), model.total(),
-              microseconds(1));
+  const LatencyModelParams timing;
+  Controller ctrl(fabric, ControllerConfig{}, timing);
+  // The controller's own accounting is the standalone model's total.
+  EXPECT_DOUBLE_EQ(ctrl.end_to_end_recovery_latency(),
+                   sharebackup_latency(timing, fabric.technology()).total());
 }
 
 }  // namespace

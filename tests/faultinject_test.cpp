@@ -71,7 +71,8 @@ TEST(FaultPlan, FailuresStayInsideFaultWindow) {
   Fabric fabric(fp(4, 2));
   FaultPlanConfig cfg;
   FaultPlan plan = FaultPlan::generate(fabric, cfg, 7);
-  EXPECT_DOUBLE_EQ(plan.settle_at, cfg.injection_window * cfg.horizon);
+  EXPECT_DOUBLE_EQ(plan.settle_at,
+                   FaultPlanConfig::kInjectionWindow * cfg.horizon);
   for (const auto& ev : plan.switch_failures) {
     EXPECT_GE(ev.at, 0.0);
     EXPECT_LT(ev.at, plan.settle_at);
@@ -110,7 +111,8 @@ TEST(FaultPlan, ClusterScenariosProduceScriptedCrashSchedules) {
   // The second kill lands strictly inside the first's election bound.
   EXPECT_GT(during.controller_crashes[1].at, during.controller_crashes[0].at);
   EXPECT_LT(during.controller_crashes[1].at,
-            during.controller_crashes[0].at + cfg.cluster_election_bound);
+            during.controller_crashes[0].at +
+                control::ClusterConfig{}.election_bound());
   // At the default repair delay both casualties come back together.
   EXPECT_DOUBLE_EQ(during.controller_crashes[1].repair_at,
                    during.controller_crashes[0].repair_at);
@@ -394,6 +396,54 @@ TEST(ControlPlane, DelayedReportStillRecovers) {
   // Detection needs miss_threshold probes; the injected delay lands on
   // top of that, so recovery happens at detection + 2ms or later.
   EXPECT_GE(recovered_at, 0.01 + milliseconds(2));
+}
+
+TEST(ChaosInjector, PrimaryMemberKillsTargetTheActingMember) {
+  // A kPrimaryMember kill resolves through
+  // ControllerCluster::acting_member(): the live primary, else the
+  // highest live member (the imminent election winner) — the same rule
+  // the replicated service applies.
+  auto alive_after_each_kill = [](ClusterScenario scenario) {
+    Fabric fabric(fp(4, 1));
+    sim::EventQueue queue;
+    control::ControlPlaneConfig pc;
+    pc.cluster.members = 3;
+    control::ControlPlane plane(fabric, queue, pc);
+    FaultPlanConfig cfg;
+    cfg.cluster_scenario = scenario;
+    cfg.cluster_members = 3;
+    const FaultPlan plan = FaultPlan::generate(fabric, cfg, 11);
+    ChaosInjector injector(fabric, plane, queue, plan);
+    plane.start(cfg.horizon);
+    injector.arm();
+    // Scheduled after arm(), so each look runs right after its kill.
+    std::vector<std::vector<bool>> alive;
+    for (const ControllerCrashEvent& ev : plan.controller_crashes) {
+      queue.schedule_at(ev.at, [&] {
+        std::vector<bool> members;
+        for (std::size_t m = 0; m < 3; ++m) {
+          members.push_back(plane.cluster().member_alive(m));
+        }
+        alive.push_back(members);
+      });
+    }
+    queue.run();
+    return alive;
+  };
+  using Alive = std::vector<bool>;
+
+  const auto death = alive_after_each_kill(ClusterScenario::kTotalDeath);
+  ASSERT_EQ(death.size(), 3u);
+  EXPECT_EQ(death[0], (Alive{true, true, false}));
+  EXPECT_EQ(death[1], (Alive{true, false, false}));
+  EXPECT_EQ(death[2], (Alive{false, false, false}));
+
+  const auto during =
+      alive_after_each_kill(ClusterScenario::kCrashDuringElection);
+  ASSERT_EQ(during.size(), 2u);
+  EXPECT_EQ(during[0], (Alive{true, true, false}));
+  // No primary is seated yet: the second kill takes the imminent winner.
+  EXPECT_EQ(during[1], (Alive{true, false, false}));
 }
 
 // --- chaos scenarios --------------------------------------------------------

@@ -268,11 +268,9 @@ TEST(Integration, DetectRecoverDiagnoseFullPipeline) {
   fabp.fat_tree.k = 6;
   fabp.backups_per_group = 1;
   Fabric fabric(fabp);
-  ControllerConfig ccfg;
-  Controller ctrl(fabric, ccfg);
+  Controller ctrl(fabric, ControllerConfig{});
   sim::EventQueue q;
-  control::DetectorConfig dcfg;
-  control::FailureDetector det(q, fabric.network(), dcfg);
+  control::FailureDetector det(q, fabric.network(), ctrl.timing());
 
   det.on_node_failure([&](NodeId node, Seconds) {
     auto pos = fabric.position_of_node(node);

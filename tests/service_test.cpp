@@ -321,7 +321,7 @@ TEST(ControllerService, BatchSizeMetricStaysBoundedOverManyBatches) {
 /// Cluster timings in *scaled* virtual time, matched to the streams'
 /// time_scale = 0.02: heartbeat 0.2 ms, 3 misses, 0.1 ms election —
 /// election_bound() = 0.9 ms, i.e. 45 ms of plan time (the
-/// FaultPlanConfig::cluster_election_bound default).
+/// default ClusterConfig{}.election_bound() the plans aim inside).
 ReplicatedServiceConfig replicated_config() {
   ReplicatedServiceConfig c;
   c.service = burst_sized_service();

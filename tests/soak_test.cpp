@@ -27,8 +27,8 @@ TEST(Soak, OneMinuteFailureStormFullControlPlane) {
   sim::EventQueue q;
 
   ControlPlaneConfig cfg;
-  cfg.detector.probe_interval = milliseconds(50);  // coarse: soak scale
-  cfg.detector.miss_threshold = 2;
+  cfg.timing.probe_interval = milliseconds(50);  // coarse: soak scale
+  cfg.timing.miss_threshold = 2;
   cfg.diagnosis_delay = 0.5;
   ControlPlane plane(fabric, q, cfg);
 

@@ -286,9 +286,9 @@ TEST(TracedSweep, OutputIndependentOfThreadCount) {
     cfg.threads = threads;
     sweep::SweepSinks sinks;
     FlightRecorder trace(/*enabled=*/true,
-                         sinks.recorder_capacity * cfg.scenarios);
+                         sweep::SweepSinks::kRecorderCapacity * cfg.scenarios);
     TelemetryTable telemetry;
-    slo::SloMonitor monitor = faultinject::make_chaos_slo(cfg);
+    slo::SloMonitor monitor = faultinject::make_chaos_slo();
     slo::HealthLog health;
     sinks.recorder = &trace;
     sinks.telemetry = &telemetry;
